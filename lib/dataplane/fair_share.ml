@@ -94,39 +94,35 @@ let compute_reference ~capacity flows =
 (* Production solver: sorted-demand water filling over dense arrays.  *)
 (* ------------------------------------------------------------------ *)
 
-(* The arena holds every scratch buffer the solver needs, grown
+(* The arena holds every scratch buffer the solvers need, grown
    geometrically and reused across calls, so the hot path (one solve
    per fluid-dataplane change instant) allocates only the result
-   array. Link ids are mapped to dense indices through one Hashtbl
-   that is cleared — never re-created — per call. *)
+   array. {!compute} maps link ids to dense indices through one
+   Hashtbl that is cleared — never re-created — per call; {!Delta}
+   numbers its links itself and shares only the kernel's buffers. *)
 type arena = {
   mutable link_idx : (int, int) Hashtbl.t;  (* link id -> dense index *)
   mutable cap : float array;            (* per dense link *)
   mutable frozen_load : float array;
   mutable unfrozen : int array;
+  mutable level : float array;          (* saturation level per dense link *)
   mutable lf_off : int array;           (* CSR link -> member flows *)
   mutable lf_fill : int array;
   mutable lf_flow : int array;
   mutable fl_off : int array;           (* CSR flow -> dense links *)
   mutable fl_link : int array;
+  mutable key : float array;            (* per flow: demand to fill up to *)
+  mutable rates : float array;          (* per flow: kernel output *)
   mutable frozen : bool array;
   mutable order : int array;            (* flow indices by demand asc *)
 }
 
+(* Buffers start empty: every user grows what it writes first. *)
 let create_arena () =
-  {
-    link_idx = Hashtbl.create 256;
-    cap = Array.make 64 0.0;
-    frozen_load = Array.make 64 0.0;
-    unfrozen = Array.make 64 0;
-    lf_off = Array.make 65 0;
-    lf_fill = Array.make 64 0;
-    lf_flow = Array.make 64 0;
-    fl_off = Array.make 65 0;
-    fl_link = Array.make 64 0;
-    frozen = Array.make 64 false;
-    order = Array.make 64 0;
-  }
+  { link_idx = Hashtbl.create 256; cap = [||]; frozen_load = [||];
+    unfrozen = [||]; level = [||]; lf_off = [||]; lf_fill = [||];
+    lf_flow = [||]; fl_off = [||]; fl_link = [||]; key = [||];
+    rates = [||]; frozen = [||]; order = [||] }
 
 let grown gen a n =
   if Array.length a >= n then a
@@ -140,22 +136,22 @@ let grown_f a n = grown (fun n -> Array.make n 0.0) a n
 let grown_i a n = grown (fun n -> Array.make n 0) a n
 let grown_b a n = grown (fun n -> Array.make n false) a n
 
-(* In-place insertion-plus-heapsort hybrid is overkill here: demands
-   repeat heavily (uniform TE workloads), so a simple bottom-up
-   heapsort over [order.(0..n-1)] keyed by demand keeps the arena
-   allocation-free. *)
-let sort_by_demand order n key =
-  let lt i j = key order.(i) < key order.(j) in
+(* The one sort routine: an in-place heapsort of [a.(0..n-1)] under
+   [lt]. Callers compare through unboxed arrays ([fun i j -> key.(i) <
+   key.(j)]), never through a float-returning key function, so no
+   comparison allocates. Its order on ties never reaches a float: equal
+   demands freeze at equal rates, and ids are unique. *)
+let heapsort (a : int array) n lt =
   let swap i j =
-    let tmp = order.(i) in
-    order.(i) <- order.(j);
-    order.(j) <- tmp
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
   in
   let rec sift_down i len =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
     let largest = ref i in
-    if l < len && lt !largest l then largest := l;
-    if r < len && lt !largest r then largest := r;
+    if l < len && lt a.(!largest) a.(l) then largest := l;
+    if r < len && lt a.(!largest) a.(r) then largest := r;
     if !largest <> i then begin
       swap i !largest;
       sift_down !largest len
@@ -169,40 +165,152 @@ let sort_by_demand order n key =
     sift_down 0 last
   done
 
-let compute_with arena ~capacity flows =
+(* The water-filling kernel both solvers share. In [a]: demands
+   [key.(0..n-1)], the flow -> dense-link CSR [fl_off]/[fl_link] and
+   [cap.(0..n_links-1)]. Out: [rates.(0..n-1)], [level.(li)] — the
+   water level at which link [li] saturated as the selected bottleneck,
+   [infinity] if it never was — and the link -> flow CSR
+   [lf_off]/[lf_flow] (members in ascending flow index). Every freeze
+   happens in ascending rate order, so a link's frozen load is a
+   canonical ascending-order sum of its members' rates — which is what
+   makes levels comparable across scoped and full solves. *)
+let waterfill a ~n ~n_links =
+  let total = a.fl_off.(n) in
+  a.lf_off <- grown_i a.lf_off (n_links + 1);
+  a.lf_fill <- grown_i a.lf_fill n_links;
+  a.lf_flow <- grown_i a.lf_flow (max 1 total);
+  a.frozen_load <- grown_f a.frozen_load n_links;
+  a.unfrozen <- grown_i a.unfrozen n_links;
+  a.level <- grown_f a.level n_links;
+  a.rates <- grown_f a.rates n;
+  a.frozen <- grown_b a.frozen n;
+  a.order <- grown_i a.order n;
+  let { fl_off; fl_link; lf_off; lf_fill; lf_flow; cap; frozen_load;
+        unfrozen; level; key; rates; frozen; order; _ } = a in
+  (* Link -> flow CSR from the per-link member counts. *)
+  Array.fill lf_fill 0 n_links 0;
+  for k = 0 to total - 1 do
+    lf_fill.(fl_link.(k)) <- lf_fill.(fl_link.(k)) + 1
+  done;
+  let acc = ref 0 in
+  for li = 0 to n_links - 1 do
+    lf_off.(li) <- !acc;
+    acc := !acc + lf_fill.(li);
+    unfrozen.(li) <- lf_fill.(li);
+    lf_fill.(li) <- lf_off.(li);
+    frozen_load.(li) <- 0.0;
+    level.(li) <- infinity
+  done;
+  lf_off.(n_links) <- !acc;
+  for i = 0 to n - 1 do
+    frozen.(i) <- false;
+    order.(i) <- i;
+    for k = fl_off.(i) to fl_off.(i + 1) - 1 do
+      let li = fl_link.(k) in
+      lf_flow.(lf_fill.(li)) <- i;
+      lf_fill.(li) <- lf_fill.(li) + 1
+    done
+  done;
+  (* [freeze i] commits the rate already stored in [rates.(i)]; taking
+     it from the array keeps the float unboxed. *)
+  let n_unfrozen = ref n in
+  let freeze i =
+    let r = rates.(i) in
+    frozen.(i) <- true;
+    decr n_unfrozen;
+    for k = fl_off.(i) to fl_off.(i + 1) - 1 do
+      let li = fl_link.(k) in
+      frozen_load.(li) <- frozen_load.(li) +. r;
+      unfrozen.(li) <- unfrozen.(li) - 1
+    done
+  in
+  (* Zero-demand (even -0.0) and pathless flows are trivially assigned. *)
+  for i = 0 to n - 1 do
+    if key.(i) = 0.0 then begin
+      rates.(i) <- 0.0;
+      freeze i
+    end
+    else if fl_off.(i + 1) = fl_off.(i) then begin
+      rates.(i) <- key.(i);
+      freeze i
+    end
+  done;
+  heapsort order n (fun i j -> key.(i) < key.(j));
+  let ptr = ref 0 in
+  while !n_unfrozen > 0 do
+    (* Bottleneck link: minimal equal share among remaining flows. *)
+    let water = ref infinity and bott = ref (-1) in
+    for li = 0 to n_links - 1 do
+      if unfrozen.(li) > 0 then begin
+        let share =
+          Float.max 0.0 (cap.(li) -. frozen_load.(li))
+          /. float_of_int unfrozen.(li)
+        in
+        if share < !water then begin
+          water := share;
+          bott := li
+        end
+      end
+    done;
+    while !ptr < n && frozen.(order.(!ptr)) do incr ptr done;
+    (* !n_unfrozen > 0 guarantees !ptr < n here. *)
+    let dmin = key.(order.(!ptr)) in
+    if !bott < 0 || dmin <= !water then begin
+      (* As the water rises to its level, every flow whose demand sits
+         below it saturates at that demand without any link filling
+         up first; the sorted order lets us freeze the whole batch in
+         one sweep instead of one progressive-filling round per
+         distinct demand. *)
+      let threshold = if !bott < 0 then dmin else !water in
+      let continue = ref true in
+      while !continue && !ptr < n do
+        let i = order.(!ptr) in
+        if frozen.(i) then incr ptr
+        else if key.(i) <= threshold then begin
+          rates.(i) <- key.(i);
+          freeze i;
+          incr ptr
+        end
+        else continue := false
+      done
+    end
+    else begin
+      (* The bottleneck saturates first: its members freeze at the
+         equal share. *)
+      let b = !bott in
+      level.(b) <- !water;
+      for k = lf_off.(b) to lf_off.(b + 1) - 1 do
+        let i = lf_flow.(k) in
+        if not frozen.(i) then begin
+          rates.(i) <- !water;
+          freeze i
+        end
+      done
+    end
+  done
+
+let compute_with a ~capacity flows =
   let n = Array.length flows in
-  let rates = Array.make n 0.0 in
-  if n = 0 then rates
+  if n = 0 then [||]
   else begin
-    Hashtbl.clear arena.link_idx;
-    (* Pass 1: total path length, validation. *)
-    let total = ref 0 in
     Array.iter
       (fun f ->
         if f.demand < 0.0 then
-          invalid_arg "Fair_share.compute: negative demand";
-        List.iter (fun _ -> incr total) f.links)
+          invalid_arg "Fair_share.compute: negative demand")
       flows;
-    let total = !total in
-    arena.fl_off <- grown_i arena.fl_off (n + 1);
-    arena.fl_link <- grown_i arena.fl_link (max 1 total);
-    arena.frozen <- grown_b arena.frozen n;
-    arena.order <- grown_i arena.order n;
-    let fl_off = arena.fl_off
-    and frozen = arena.frozen
-    and order = arena.order in
-    (* Pass 2: dense link ids + flow->link CSR. *)
-    let n_links = ref 0 in
-    let pos = ref 0 in
+    Hashtbl.clear a.link_idx;
+    a.fl_off <- grown_i a.fl_off (n + 1);
+    a.key <- grown_f a.key n;
+    (* Dense link ids in first-reference order + flow->link CSR. *)
+    let n_links = ref 0 and pos = ref 0 in
     Array.iteri
       (fun i f ->
-        fl_off.(i) <- !pos;
-        frozen.(i) <- false;
-        order.(i) <- i;
+        a.fl_off.(i) <- !pos;
+        a.key.(i) <- f.demand;
         List.iter
           (fun l ->
             let li =
-              match Hashtbl.find_opt arena.link_idx l with
+              match Hashtbl.find_opt a.link_idx l with
               | Some li -> li
               | None ->
                   let c = capacity l in
@@ -210,114 +318,19 @@ let compute_with arena ~capacity flows =
                     invalid_arg "Fair_share.compute: non-positive capacity";
                   let li = !n_links in
                   incr n_links;
-                  arena.cap <- grown_f arena.cap !n_links;
-                  arena.frozen_load <- grown_f arena.frozen_load !n_links;
-                  arena.unfrozen <- grown_i arena.unfrozen !n_links;
-                  arena.lf_fill <- grown_i arena.lf_fill !n_links;
-                  arena.cap.(li) <- c;
-                  arena.frozen_load.(li) <- 0.0;
-                  arena.unfrozen.(li) <- 0;
-                  arena.lf_fill.(li) <- 0;
-                  Hashtbl.add arena.link_idx l li;
+                  a.cap <- grown_f a.cap !n_links;
+                  a.cap.(li) <- c;
+                  Hashtbl.add a.link_idx l li;
                   li
             in
-            arena.fl_link.(!pos) <- li;
-            incr pos;
-            arena.unfrozen.(li) <- arena.unfrozen.(li) + 1;
-            arena.lf_fill.(li) <- arena.lf_fill.(li) + 1)
+            a.fl_link <- grown_i a.fl_link (!pos + 1);
+            a.fl_link.(!pos) <- li;
+            incr pos)
           f.links)
       flows;
-    fl_off.(n) <- !pos;
-    let n_links = !n_links in
-    let cap = arena.cap
-    and frozen_load = arena.frozen_load
-    and unfrozen = arena.unfrozen
-    and fl_link = arena.fl_link in
-    (* Pass 3: link->flow CSR from the per-link counts. *)
-    arena.lf_off <- grown_i arena.lf_off (n_links + 1);
-    arena.lf_flow <- grown_i arena.lf_flow (max 1 total);
-    let lf_off = arena.lf_off and lf_fill = arena.lf_fill in
-    let acc = ref 0 in
-    for li = 0 to n_links - 1 do
-      lf_off.(li) <- !acc;
-      acc := !acc + lf_fill.(li);
-      lf_fill.(li) <- lf_off.(li)
-    done;
-    lf_off.(n_links) <- !acc;
-    for i = 0 to n - 1 do
-      for k = fl_off.(i) to fl_off.(i + 1) - 1 do
-        let li = fl_link.(k) in
-        arena.lf_flow.(lf_fill.(li)) <- i;
-        lf_fill.(li) <- lf_fill.(li) + 1
-      done
-    done;
-    let lf_flow = arena.lf_flow in
-    (* Water filling. *)
-    let n_unfrozen = ref n in
-    let freeze i rate =
-      rates.(i) <- rate;
-      frozen.(i) <- true;
-      decr n_unfrozen;
-      for k = fl_off.(i) to fl_off.(i + 1) - 1 do
-        let li = fl_link.(k) in
-        frozen_load.(li) <- frozen_load.(li) +. rate;
-        unfrozen.(li) <- unfrozen.(li) - 1
-      done
-    in
-    Array.iteri
-      (fun i f ->
-        if f.demand = 0.0 then freeze i 0.0
-        else if f.links = [] then freeze i f.demand)
-      flows;
-    sort_by_demand order n (fun i -> flows.(i).demand);
-    let ptr = ref 0 in
-    while !n_unfrozen > 0 do
-      (* Bottleneck link: minimal equal share among remaining flows. *)
-      let level = ref infinity and bott = ref (-1) in
-      for li = 0 to n_links - 1 do
-        if unfrozen.(li) > 0 then begin
-          let share =
-            Float.max 0.0 (cap.(li) -. frozen_load.(li))
-            /. float_of_int unfrozen.(li)
-          in
-          if share < !level then begin
-            level := share;
-            bott := li
-          end
-        end
-      done;
-      while !ptr < n && frozen.(order.(!ptr)) do incr ptr done;
-      (* !n_unfrozen > 0 guarantees !ptr < n here. *)
-      let dmin = flows.(order.(!ptr)).demand in
-      if !bott < 0 || dmin <= !level then begin
-        (* As the water rises to [level], every flow whose demand sits
-           below it saturates at that demand without any link filling
-           up first; the sorted order lets us freeze the whole batch
-           in one sweep instead of one progressive-filling round per
-           distinct demand. *)
-        let threshold = if !bott < 0 then dmin else !level in
-        let continue = ref true in
-        while !continue && !ptr < n do
-          let i = order.(!ptr) in
-          if frozen.(i) then incr ptr
-          else if flows.(i).demand <= threshold then begin
-            freeze i flows.(i).demand;
-            incr ptr
-          end
-          else continue := false
-        done
-      end
-      else begin
-        (* The bottleneck saturates first: its members freeze at the
-           equal share. *)
-        let b = !bott in
-        for k = lf_off.(b) to lf_off.(b + 1) - 1 do
-          let i = lf_flow.(k) in
-          if not frozen.(i) then freeze i !level
-        done
-      end
-    done;
-    rates
+    a.fl_off.(n) <- !pos;
+    waterfill a ~n ~n_links:!n_links;
+    Array.sub a.rates 0 n
   end
 
 let default_arena = lazy (create_arena ())
@@ -336,11 +349,17 @@ module Delta = struct
   type dflow = {
     fid : int;
     demand : float;
-    mutable flinks : int list;
+    mutable flinks : dlink list;
     mutable rate : float;
+    mutable pending : bool;
+        (* queued for the next flush: its rate is in no link's [lload]
+           and it may not take a fast path until a solve commits it *)
+    mutable scope : int;  (* epoch of the flush whose scope holds it *)
+    mutable clamp : int;  (* epoch of the solve iteration clamping it *)
   }
 
-  type dlink = {
+  and dlink = {
+    lid : int;
     lcap : float;
     mutable level : float;
         (* water level at which the link last saturated as the selected
@@ -355,6 +374,9 @@ module Delta = struct
            a marginal fast/slow decision, and the slow path is always
            correct. *)
     lmembers : (int, dflow) Hashtbl.t;
+    mutable insolve : int;  (* epoch of the flush whose solve holds it *)
+    mutable dense : int;  (* dense index in solve iteration [dense_at] *)
+    mutable dense_at : int;
   }
 
   type stats = {
@@ -379,6 +401,19 @@ module Delta = struct
         (* fast-path work, folded into the stats at the next flush so
            callers diffing stats around a solve see it *)
     mutable last_touched : int list;
+    (* Solve state, reused across flushes. Set membership is an epoch
+       stamp on the record (see {!flush}); these buffers list the
+       members, and only their prefixes are live. *)
+    arena : arena;
+    mutable epoch : int;
+    mutable scope_buf : dflow array;
+    mutable n_scope : int;
+    mutable insolve_buf : dlink array;
+    mutable n_insolve : int;
+    mutable clamp_buf : dflow array;
+    mutable fids : int array;  (* sort keys *)
+    mutable solve_flows : dflow array;  (* canonical order *)
+    mutable solve_links : dlink array;  (* by dense index *)
     mutable s_solves : int;
     mutable s_events : int;
     mutable s_flows_touched : int;
@@ -386,6 +421,18 @@ module Delta = struct
     mutable s_expansions : int;
     mutable s_promotions : int;
   }
+
+  (* Fillers for the grown buffers' dead slots. *)
+  let no_flow =
+    { fid = -1; demand = 0.0; flinks = []; rate = 0.0; pending = false;
+      scope = 0; clamp = 0 }
+
+  let no_link =
+    { lid = -1; lcap = 1.0; level = infinity; lload = 0.0;
+      lmembers = Hashtbl.create 1; insolve = 0; dense = 0; dense_at = 0 }
+
+  let grown_df a n = grown (fun n -> Array.make n no_flow) a n
+  let grown_dl a n = grown (fun n -> Array.make n no_link) a n
 
   let create ~capacity () =
     {
@@ -398,6 +445,16 @@ module Delta = struct
       pending_fast_flows = 0;
       pending_fast_links = 0;
       last_touched = [];
+      arena = create_arena ();
+      epoch = 0;
+      scope_buf = [||];
+      n_scope = 0;
+      insolve_buf = [||];
+      n_insolve = 0;
+      clamp_buf = [||];
+      fids = [||];
+      solve_flows = [||];
+      solve_links = [||];
       s_solves = 0;
       s_events = 0;
       s_flows_touched = 0;
@@ -413,12 +470,13 @@ module Delta = struct
         let cap = t.capacity lid in
         if cap <= 0.0 then
           invalid_arg "Fair_share.Delta: non-positive capacity";
-        let l =
-          { lcap = cap; level = infinity; lload = 0.0;
-            lmembers = Hashtbl.create 8 }
-        in
+        let l = { no_link with lid; lcap = cap; lmembers = Hashtbl.create 8 } in
         Hashtbl.add t.dlinks lid l;
         l
+
+  (* A live flow's links are always the current [t.dlinks] records: a
+     link is dropped only once it has no members. *)
+  let lids links acc = List.fold_left (fun acc l -> l.lid :: acc) acc links
 
   (* Fast paths: an event whose links all sit strictly below
      saturation (level = infinity, and any added load fits in the
@@ -427,71 +485,62 @@ module Delta = struct
      untouched, so the event commits in O(path) with no water-fill at
      all. This is the common case for real workloads, where most links
      run below capacity; the scoped solve in {!flush} only runs for
-     events that actually move a bottleneck. *)
+     events that actually move a bottleneck. A pending flow never takes
+     one: its rate is not in [lload] to add or subtract. *)
 
   let fast_commit t ~id ~links =
     t.fast_touched <- id :: t.fast_touched;
     t.pending_fast_flows <- t.pending_fast_flows + 1;
     t.pending_fast_links <- t.pending_fast_links + List.length links
 
+  let unsaturated links = List.for_all (fun l -> l.level = infinity) links
+
   let add_flow t ~id ~demand ~links =
     if demand < 0.0 then
       invalid_arg "Fair_share.Delta.add_flow: negative demand";
     if Hashtbl.mem t.dflows id then
       invalid_arg "Fair_share.Delta.add_flow: duplicate id";
-    let f = { fid = id; demand; flinks = links; rate = 0.0 } in
+    let links = List.map (dlink t) links in
+    let f = { no_flow with fid = id; demand; flinks = links } in
     Hashtbl.add t.dflows id f;
-    List.iter (fun lid -> Hashtbl.replace (dlink t lid).lmembers id f) links;
+    List.iter (fun l -> Hashtbl.replace l.lmembers id f) links;
     t.s_events <- t.s_events + 1;
     let absorbed =
       List.for_all
-        (fun lid ->
-          let l = dlink t lid in
-          l.level = infinity && l.lload +. demand <= l.lcap)
+        (fun l -> l.level = infinity && l.lload +. demand <= l.lcap)
         links
     in
     if absorbed then begin
       f.rate <- demand;
-      List.iter
-        (fun lid ->
-          let l = dlink t lid in
-          l.lload <- l.lload +. demand)
-        links;
+      List.iter (fun l -> l.lload <- l.lload +. demand) links;
       fast_commit t ~id ~links
     end
-    else t.seed_flows <- id :: t.seed_flows
+    else begin
+      f.pending <- true;
+      t.seed_flows <- id :: t.seed_flows
+    end
 
   let remove_flow t ~id =
     match Hashtbl.find_opt t.dflows id with
     | None -> ()
     | Some f ->
         Hashtbl.remove t.dflows id;
-        let unsaturated =
-          List.for_all
-            (fun lid ->
-              match Hashtbl.find_opt t.dlinks lid with
-              | None -> true
-              | Some l -> l.level = infinity)
-            f.flinks
-        in
+        let unsaturated = (not f.pending) && unsaturated f.flinks in
         List.iter
-          (fun lid ->
-            match Hashtbl.find_opt t.dlinks lid with
-            | None -> ()
-            | Some l ->
-                Hashtbl.remove l.lmembers id;
-                if unsaturated then begin
-                  l.lload <- l.lload -. f.rate;
-                  if Hashtbl.length l.lmembers = 0 then
-                    Hashtbl.remove t.dlinks lid
-                end)
+          (fun l ->
+            Hashtbl.remove l.lmembers id;
+            if unsaturated then begin
+              l.lload <- l.lload -. f.rate;
+              if Hashtbl.length l.lmembers = 0 then
+                Hashtbl.remove t.dlinks l.lid
+            end)
           f.flinks;
         t.s_events <- t.s_events + 1;
         if unsaturated then
           (* departure from links that never bind relaxes every
              constraint without moving a level: nobody's rate changes *)
           t.pending_fast_flows <- t.pending_fast_flows + 1
-        else t.seed_links <- List.rev_append f.flinks t.seed_links
+        else t.seed_links <- lids f.flinks t.seed_links
 
   let set_links t ~id ~links =
     match Hashtbl.find_opt t.dflows id with
@@ -499,53 +548,35 @@ module Delta = struct
     | Some f ->
         let old_links = f.flinks in
         let old_unsaturated =
-          (* rate = demand also rules out flows still waiting on their
-             first solve, whose rate field is not yet meaningful *)
-          f.rate = f.demand
-          && List.for_all
-               (fun lid ->
-                 match Hashtbl.find_opt t.dlinks lid with
-                 | None -> true
-                 | Some l -> l.level = infinity)
-               old_links
+          (* a clamped flow may sit below its demand on links that no
+             longer bind; only a demand-limited one may move freely *)
+          (not f.pending) && f.rate = f.demand && unsaturated old_links
         in
-        List.iter
-          (fun lid ->
-            match Hashtbl.find_opt t.dlinks lid with
-            | None -> ()
-            | Some l -> Hashtbl.remove l.lmembers id)
-          old_links;
+        List.iter (fun l -> Hashtbl.remove l.lmembers id) old_links;
+        let links = List.map (dlink t) links in
         f.flinks <- links;
-        List.iter (fun lid -> Hashtbl.replace (dlink t lid).lmembers id f) links;
+        List.iter (fun l -> Hashtbl.replace l.lmembers id f) links;
         t.s_events <- t.s_events + 1;
         let absorbed =
           old_unsaturated
           && List.for_all
-               (fun lid ->
-                 let l = dlink t lid in
-                 l.level = infinity && l.lload +. f.rate <= l.lcap)
+               (fun l -> l.level = infinity && l.lload +. f.rate <= l.lcap)
                links
         in
         if absorbed then begin
           List.iter
-            (fun lid ->
-              match Hashtbl.find_opt t.dlinks lid with
-              | None -> ()
-              | Some l ->
-                  l.lload <- l.lload -. f.rate;
-                  if Hashtbl.length l.lmembers = 0 then
-                    Hashtbl.remove t.dlinks lid)
+            (fun l ->
+              l.lload <- l.lload -. f.rate;
+              if Hashtbl.length l.lmembers = 0 then
+                Hashtbl.remove t.dlinks l.lid)
             old_links;
-          List.iter
-            (fun lid ->
-              let l = dlink t lid in
-              l.lload <- l.lload +. f.rate)
-            links;
+          List.iter (fun l -> l.lload <- l.lload +. f.rate) links;
           fast_commit t ~id ~links
         end
         else begin
-          t.seed_links <- List.rev_append old_links t.seed_links;
-          t.seed_flows <- id :: t.seed_flows
+          t.seed_links <- lids old_links t.seed_links;
+          t.seed_flows <- id :: t.seed_flows;
+          f.pending <- true
         end
 
   let rate t ~id =
@@ -564,77 +595,180 @@ module Delta = struct
       promotions = t.s_promotions;
     }
 
-  (* One scoped water-fill over [n] flows with effective demands [eff]
-     and dense link lists [fl]. Returns rates and per-dense-link
-     saturation levels ([infinity] = never selected as bottleneck).
-     Same sorted-demand arithmetic and demand-wins tie rule as
-     [compute], and every freeze happens in ascending rate order, so a
-     link's frozen load is a canonical ascending-order sum of its
-     members' rates — which is what makes levels comparable across
-     scoped and full solves. *)
-  let waterfill n eff fl n_links cap lmem =
-    let rates = Array.make n 0.0 in
-    let levels = Array.make (max 1 n_links) infinity in
-    let frozen = Array.make n false in
-    let frozen_load = Array.make (max 1 n_links) 0.0 in
-    let unfrozen = Array.make (max 1 n_links) 0 in
-    Array.iter
-      (Array.iter (fun li -> unfrozen.(li) <- unfrozen.(li) + 1))
-      fl;
-    let n_unfrozen = ref n in
-    let freeze i r =
-      rates.(i) <- r;
-      frozen.(i) <- true;
-      decr n_unfrozen;
-      Array.iter
-        (fun li ->
-          frozen_load.(li) <- frozen_load.(li) +. r;
-          unfrozen.(li) <- unfrozen.(li) - 1)
-        fl.(i)
+  (* Set membership during a flush is an epoch stamp: [t.epoch] grows
+     once per flush (scope and in-solve sets, which only grow while the
+     fixpoint runs) and once per solve iteration (clamped set, dense
+     link numbering), so no set is ever cleared. *)
+  let rec add_insolve t e = function
+    | [] -> ()
+    | l :: rest ->
+        if l.insolve <> e then begin
+          l.insolve <- e;
+          t.insolve_buf <- grown_dl t.insolve_buf (t.n_insolve + 1);
+          t.insolve_buf.(t.n_insolve) <- l;
+          t.n_insolve <- t.n_insolve + 1
+        end;
+        add_insolve t e rest
+
+  let add_scope t e f =
+    if f.scope <> e then begin
+      f.scope <- e;
+      t.scope_buf <- grown_df t.scope_buf (t.n_scope + 1);
+      t.scope_buf.(t.n_scope) <- f;
+      t.n_scope <- t.n_scope + 1;
+      add_insolve t e f.flinks
+    end
+
+  (* Positions of [src.(0..m-1)] in ascending fid order, in
+     [t.arena.order]. *)
+  let by_fid t (src : dflow array) m =
+    let a = t.arena in
+    a.order <- grown_i a.order m;
+    t.fids <- grown_i t.fids m;
+    let order = a.order and fids = t.fids in
+    for p = 0 to m - 1 do
+      order.(p) <- p;
+      fids.(p) <- src.(p).fid
+    done;
+    heapsort order m (fun p q -> fids.(p) < fids.(q));
+    order
+
+  (* Exact member-rate sum in ascending fid order — the canonical
+     order every solver freezes in — so the fast path's residual checks
+     start from a reproducible baseline. Every member of an in-solve
+     link is in the solve, and its CSR row lists the scope members,
+     then the clamped ones, each run by ascending fid: merge the two
+     runs. A flow listed twice (a repeated link) counts once. *)
+  let member_load t ~ns li =
+    let a = t.arena and sf = t.solve_flows in
+    let lo = a.lf_off.(li) and hi = a.lf_off.(li + 1) in
+    let mid = ref lo in
+    while !mid < hi && a.lf_flow.(!mid) < ns do incr mid done;
+    let fid k = sf.(a.lf_flow.(k)).fid in
+    let p = ref lo and q = ref !mid and sum = ref 0.0 and last = ref (-1) in
+    while !p < !mid || !q < hi do
+      let next = if !q >= hi || (!p < !mid && fid !p < fid !q) then p else q in
+      let i = a.lf_flow.(!next) in
+      incr next;
+      if i <> !last then sum := !sum +. sf.(i).rate;
+      last := i
+    done;
+    !sum
+
+  (* One fixpoint iteration of the flush over scope epoch [e]: a
+     scoped water-fill, then the fixpoint checks. Commits and returns
+     [true] at a fixpoint; otherwise widens the scope and returns
+     [false]. *)
+  let solve t e ~fast =
+    let a = t.arena in
+    t.epoch <- t.epoch + 1;
+    let it = t.epoch in
+    let nc = ref 0 in
+    let clamp _ f =
+      if f.scope <> e && f.clamp <> it then begin
+        f.clamp <- it;
+        t.clamp_buf <- grown_df t.clamp_buf (!nc + 1);
+        t.clamp_buf.(!nc) <- f;
+        incr nc
+      end
+    in
+    for k = 0 to t.n_insolve - 1 do
+      Hashtbl.iter clamp t.insolve_buf.(k).lmembers
+    done;
+    (* Canonical flow order (scope first, then clamped, both by id)
+       keeps the solve deterministic regardless of hash order. *)
+    let ns = t.n_scope and nc = !nc in
+    let n = ns + nc in
+    t.solve_flows <- grown_df t.solve_flows n;
+    let sf = t.solve_flows in
+    let gather off src m =
+      let order = by_fid t src m in
+      for k = 0 to m - 1 do
+        sf.(off + k) <- src.(order.(k))
+      done
+    in
+    gather 0 t.scope_buf ns;
+    gather ns t.clamp_buf nc;
+    (* Dense link ids over the in-solve set, in canonical
+       first-reference order. Clamped flows keep only their in-solve
+       links: at a fixpoint their rate is preserved, so their load on
+       out-of-solve links is unchanged. *)
+    a.fl_off <- grown_i a.fl_off (n + 1);
+    a.key <- grown_f a.key n;
+    let n_links = ref 0 and pos = ref 0 in
+    let rec walk in_scope = function
+      | [] -> ()
+      | l :: rest ->
+          if in_scope || l.insolve = e then begin
+            if l.dense_at <> it then begin
+              l.dense_at <- it;
+              l.dense <- !n_links;
+              t.solve_links <- grown_dl t.solve_links (!n_links + 1);
+              a.cap <- grown_f a.cap (!n_links + 1);
+              t.solve_links.(!n_links) <- l;
+              a.cap.(!n_links) <- l.lcap;
+              incr n_links
+            end;
+            a.fl_link <- grown_i a.fl_link (!pos + 1);
+            a.fl_link.(!pos) <- l.dense;
+            incr pos
+          end;
+          walk in_scope rest
     in
     for i = 0 to n - 1 do
-      if eff.(i) = 0.0 then freeze i 0.0
-      else if Array.length fl.(i) = 0 then freeze i eff.(i)
+      let f = sf.(i) in
+      a.fl_off.(i) <- !pos;
+      a.key.(i) <- (if i < ns then f.demand else f.rate);
+      walk (i < ns) f.flinks
     done;
-    let order = Array.init n (fun i -> i) in
-    sort_by_demand order n (fun i -> eff.(i));
-    let ptr = ref 0 in
-    while !n_unfrozen > 0 do
-      let level = ref infinity and bott = ref (-1) in
-      for li = 0 to n_links - 1 do
-        if unfrozen.(li) > 0 then begin
-          let share =
-            Float.max 0.0 (cap.(li) -. frozen_load.(li))
-            /. float_of_int unfrozen.(li)
-          in
-          if share < !level then begin
-            level := share;
-            bott := li
-          end
-        end
-      done;
-      while !ptr < n && frozen.(order.(!ptr)) do incr ptr done;
-      let dmin = eff.(order.(!ptr)) in
-      if !bott < 0 || dmin <= !level then begin
-        let threshold = if !bott < 0 then dmin else !level in
-        let continue = ref true in
-        while !continue && !ptr < n do
-          let i = order.(!ptr) in
-          if frozen.(i) then incr ptr
-          else if eff.(i) <= threshold then begin
-            freeze i eff.(i);
-            incr ptr
-          end
-          else continue := false
+    a.fl_off.(n) <- !pos;
+    let n_links = !n_links in
+    t.s_flows_touched <- t.s_flows_touched + n;
+    t.s_links_touched <- t.s_links_touched + n_links;
+    waterfill a ~n ~n_links;
+    (* Fixpoint checks: a clamped flow must reproduce its previous
+       rate exactly, and no in-solve link's saturation level may
+       change while it still has clamped members — either breach
+       means the bottleneck structure shifted, so the breached flows
+       join the scope and the solve expands. *)
+    let promoted = ref 0 in
+    let promote f =
+      if f.scope <> e then begin
+        add_scope t e f;
+        incr promoted
+      end
+    in
+    for i = ns to n - 1 do
+      if a.rates.(i) <> sf.(i).rate then promote sf.(i)
+    done;
+    for li = 0 to n_links - 1 do
+      if a.level.(li) <> t.solve_links.(li).level then
+        for k = a.lf_off.(li) to a.lf_off.(li + 1) - 1 do
+          promote sf.(a.lf_flow.(k))
         done
-      end
-      else begin
-        let b = !bott in
-        levels.(b) <- !level;
-        List.iter (fun i -> if not frozen.(i) then freeze i !level) lmem.(b)
-      end
     done;
-    (rates, levels)
+    if !promoted > 0 then begin
+      t.s_promotions <- t.s_promotions + !promoted;
+      false
+    end
+    else begin
+      let touched = ref [] in
+      for i = ns - 1 downto 0 do
+        let f = sf.(i) in
+        f.rate <- a.rates.(i);
+        f.pending <- false;
+        touched := f.fid :: !touched
+      done;
+      for k = 0 to t.n_insolve - 1 do
+        let l = t.insolve_buf.(k) in
+        l.level <- (if l.dense_at = it then a.level.(l.dense) else infinity);
+        if Hashtbl.length l.lmembers = 0 then Hashtbl.remove t.dlinks l.lid
+        else l.lload <- member_load t ~ns l.dense
+      done;
+      t.last_touched <- List.rev_append fast !touched;
+      t.s_solves <- t.s_solves + 1;
+      true
+    end
 
   let flush t =
     let fast = t.fast_touched in
@@ -649,158 +783,23 @@ module Delta = struct
          in-solve set); every other member of an in-solve link is
          clamped at its previous rate, behaving exactly like a
          demand-limited flow whose external bottleneck is untouched. *)
-      let scope : (int, dflow) Hashtbl.t = Hashtbl.create 64 in
-      let insolve : (int, dlink) Hashtbl.t = Hashtbl.create 64 in
-      let rec add_scope (f : dflow) =
-        if not (Hashtbl.mem scope f.fid) then begin
-          Hashtbl.add scope f.fid f;
-          List.iter add_insolve f.flinks
-        end
-      and add_insolve lid =
-        if not (Hashtbl.mem insolve lid) then
-          Hashtbl.add insolve lid (dlink t lid)
-      in
+      t.epoch <- t.epoch + 1;
+      let e = t.epoch in
+      t.n_scope <- 0;
+      t.n_insolve <- 0;
       List.iter
-        (fun fid -> Option.iter add_scope (Hashtbl.find_opt t.dflows fid))
+        (fun fid ->
+          Option.iter (add_scope t e) (Hashtbl.find_opt t.dflows fid))
         t.seed_flows;
-      List.iter add_insolve t.seed_links;
+      add_insolve t e (List.map (dlink t) t.seed_links);
       t.seed_flows <- [];
       t.seed_links <- [];
-      let stable = ref false in
-      let first = ref true in
-      while not !stable do
-        if not !first then t.s_expansions <- t.s_expansions + 1;
-        first := false;
-        let clamped : (int, dflow) Hashtbl.t = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun _ (l : dlink) ->
-            Hashtbl.iter
-              (fun fid f ->
-                if not (Hashtbl.mem scope fid) then
-                  Hashtbl.replace clamped fid f)
-              l.lmembers)
-          insolve;
-        (* Canonical flow order (scope first, then clamped, both by id)
-           keeps the solve deterministic regardless of hash order. *)
-        let sorted tbl =
-          let a = Array.make (Hashtbl.length tbl) None in
-          let i = ref 0 in
-          Hashtbl.iter
-            (fun _ f ->
-              a.(!i) <- Some f;
-              incr i)
-            tbl;
-          let a = Array.map Option.get a in
-          Array.sort (fun (a : dflow) b -> Int.compare a.fid b.fid) a;
-          a
-        in
-        let sf = sorted scope and cf = sorted clamped in
-        let ns = Array.length sf in
-        let n = ns + Array.length cf in
-        let flows =
-          Array.init n (fun i -> if i < ns then sf.(i) else cf.(i - ns))
-        in
-        let eff =
-          Array.init n (fun i ->
-              if i < ns then flows.(i).demand else flows.(i).rate)
-        in
-        (* Dense link ids over the in-solve set, in canonical
-           first-reference order. Clamped flows keep only their
-           in-solve links: at a fixpoint their rate is preserved, so
-           their load on out-of-solve links is unchanged. *)
-        let lidx : (int, int) Hashtbl.t = Hashtbl.create 64 in
-        let lids = ref [] and n_links = ref 0 in
-        let dense lid =
-          match Hashtbl.find_opt lidx lid with
-          | Some li -> li
-          | None ->
-              let li = !n_links in
-              incr n_links;
-              lids := lid :: !lids;
-              Hashtbl.add lidx lid li;
-              li
-        in
-        let fl =
-          Array.mapi
-            (fun i (f : dflow) ->
-              let ls =
-                if i < ns then f.flinks
-                else List.filter (Hashtbl.mem insolve) f.flinks
-              in
-              Array.of_list (List.map dense ls))
-            flows
-        in
-        let n_links = !n_links in
-        let lid_of = Array.make (max 1 n_links) 0 in
-        List.iteri (fun i lid -> lid_of.(n_links - 1 - i) <- lid) !lids;
-        let cap = Array.map (fun lid -> (dlink t lid).lcap) lid_of in
-        let lmem = Array.make (max 1 n_links) [] in
-        Array.iteri
-          (fun i links ->
-            Array.iter (fun li -> lmem.(li) <- i :: lmem.(li)) links)
-          fl;
-        t.s_flows_touched <- t.s_flows_touched + n;
-        t.s_links_touched <- t.s_links_touched + n_links;
-        let rates, levels = waterfill n eff fl n_links cap lmem in
-        (* Fixpoint checks: a clamped flow must reproduce its previous
-           rate exactly, and no in-solve link's saturation level may
-           change while it still has clamped members — either breach
-           means the bottleneck structure shifted, so the breached
-           flows join the scope and the solve expands. *)
-        let promote : (int, dflow) Hashtbl.t = Hashtbl.create 8 in
-        for i = ns to n - 1 do
-          if rates.(i) <> flows.(i).rate then
-            Hashtbl.replace promote flows.(i).fid flows.(i)
-        done;
-        for li = 0 to n_links - 1 do
-          let l = Hashtbl.find insolve lid_of.(li) in
-          if levels.(li) <> l.level then
-            Hashtbl.iter
-              (fun fid f ->
-                if not (Hashtbl.mem scope fid) then
-                  Hashtbl.replace promote fid f)
-              l.lmembers
-        done;
-        if Hashtbl.length promote = 0 then begin
-          for i = 0 to ns - 1 do
-            sf.(i).rate <- rates.(i)
-          done;
-          Hashtbl.iter
-            (fun lid (l : dlink) ->
-              (l.level <-
-                 (match Hashtbl.find_opt lidx lid with
-                 | Some li -> levels.(li)
-                 | None -> infinity));
-              if Hashtbl.length l.lmembers = 0 then Hashtbl.remove t.dlinks lid
-              else begin
-                (* exact member-rate sum in ascending fid order — the
-                   canonical order every solver freezes in — so the
-                   fast path's residual checks start from a
-                   reproducible baseline *)
-                let fids =
-                  Hashtbl.fold (fun fid _ acc -> fid :: acc) l.lmembers []
-                  |> List.sort Int.compare
-                in
-                l.lload <-
-                  List.fold_left
-                    (fun acc fid ->
-                      acc +. (Hashtbl.find l.lmembers fid).rate)
-                    0.0 fids
-              end)
-            insolve;
-          t.last_touched <-
-            List.rev_append fast
-              (Array.to_list (Array.map (fun f -> f.fid) sf));
-          t.s_solves <- t.s_solves + 1;
-          stable := true
-        end
-        else begin
-          t.s_promotions <- t.s_promotions + Hashtbl.length promote;
-          Hashtbl.iter (fun _ f -> add_scope f) promote
-        end
+      while not (solve t e ~fast) do
+        t.s_expansions <- t.s_expansions + 1
       done
     end
 end
+
 
 let link_loads flows rates =
   let tbl = Hashtbl.create 16 in

@@ -10,7 +10,9 @@
     Two implementations share the semantics: {!compute} is the
     production sorted-demand water-filling solver over dense arena
     buffers (the fluid hot path), {!compute_reference} is the textbook
-    progressive-filling loop kept for differential testing. *)
+    progressive-filling loop kept for differential testing. {!compute}
+    and the incremental {!Delta} solver run the same water-filling
+    kernel. *)
 
 type flow_input = {
   demand : float;  (** offered rate, bps; must be >= 0 *)
@@ -78,7 +80,30 @@ val link_loads : flow_input array -> float array -> (int * float) list
     links run below capacity.
 
     Flows outside the final scope are never written: their rates are
-    physically the same floats as before the flush. *)
+    physically the same floats as before the flush.
+
+    A flush allocates almost nothing. Each {!Delta.t} owns an {!arena}
+    plus flow and link buffers that grow geometrically and are reused
+    by every solve; the scope, in-solve, clamped and dense-link sets
+    are epoch stamps on the flow and link records (one epoch per flush,
+    one per fixpoint iteration), so no set is built or cleared per
+    solve.
+
+    The fixpoint compares floats exactly, so the order of float
+    operations is part of the contract:
+    - solve flows are ordered scope first, then clamped, each by
+      ascending id;
+    - dense link ids follow first reference in that order, which
+      decides ties between equal-share bottlenecks;
+    - demands are sorted ascending; equal demands freeze at equal
+      rates, so their relative order never reaches a float;
+    - a link's recorded load is its member rates summed in ascending
+      id order.
+
+    An arrival or reroute that cannot be absorbed leaves its flow
+    pending until the next flush; a pending flow's rate is on no
+    link's load, so removing or rerouting it always takes the scoped
+    solve. *)
 module Delta : sig
   type t
 

@@ -13,9 +13,12 @@
      component per event would touch;
    - after the churn, every class's rate agrees with the from-scratch
      progressive-filling oracle Fair_share.compute_reference within
-     1e-9 relative.
+     1e-9 relative;
+   - the solver's calls during the churn allocate at most
+     [words_budget] minor words per flow touched (1.75 measured, so 2x
+     headroom): a solve that allocates per flow fails here.
 
-   Writes the measured work and error figures to argv(1). *)
+   Writes the measured work, allocation and error figures to argv(1). *)
 
 module Fair_share = Horse_dataplane.Fair_share
 module Delta = Fair_share.Delta
@@ -28,6 +31,7 @@ module Json = Horse_telemetry.Json
 let classes_target = 20_000
 let churn_events = 300
 let work_budget = 5.0
+let words_budget = 3.5
 let tol = 1e-9
 
 type cls = { demand : float; city : int; mutable links : int list }
@@ -173,6 +177,14 @@ let () =
      with Exit -> ());
     !found
   in
+  (* Minor words allocated inside the solver's own calls, so the eager
+     baseline's bookkeeping does not count against it. *)
+  let solver_words = ref 0.0 in
+  let in_solver f =
+    let w0 = Gc.minor_words () in
+    f ();
+    solver_words := !solver_words +. (Gc.minor_words () -. w0)
+  in
   let eager_work = ref 0 in
   for _ = 1 to churn_events do
     (match Random.State.int rng 3 with
@@ -183,26 +195,28 @@ let () =
         incr next_id;
         Hashtbl.replace live id
           { demand = tmpl.demand; city = tmpl.city; links = tmpl.links };
-        Delta.add_flow t ~id ~demand:tmpl.demand ~links:tmpl.links;
+        in_solver (fun () ->
+            Delta.add_flow t ~id ~demand:tmpl.demand ~links:tmpl.links);
         eager_work := !eager_work + component_size id
     | 1 ->
         (* Departure. *)
         let id = pick_live () in
         eager_work := !eager_work + component_size id;
         Hashtbl.remove live id;
-        Delta.remove_flow t ~id
+        in_solver (fun () -> Delta.remove_flow t ~id)
     | _ ->
         (* Reroute: steer onto the second-nearest site's path. *)
         let id = pick_live () in
         let c = Hashtbl.find live id in
         c.links <- path_from_site ranked.(c.city).(1) c.city;
-        Delta.set_links t ~id ~links:c.links;
+        in_solver (fun () -> Delta.set_links t ~id ~links:c.links);
         eager_work := !eager_work + component_size id);
-    Delta.flush t
+    in_solver (fun () -> Delta.flush t)
   done;
   let s1 = Delta.stats t in
   let delta_work = s1.Delta.flows_touched - s0.Delta.flows_touched in
   let ratio = float_of_int !eager_work /. float_of_int (max 1 delta_work) in
+  let words_per_flow = !solver_words /. float_of_int (max 1 delta_work) in
   (* Oracle: from-scratch progressive filling over the final flow set. *)
   let final_ids = List.sort compare (Hashtbl.fold (fun id _ a -> id :: a) live []) in
   let inputs =
@@ -233,14 +247,18 @@ let () =
             ("delta_work", Json.Int delta_work);
             ("eager_component_work", Json.Int !eager_work);
             ("work_reduction", Json.Float ratio);
+            ("solver_minor_words", Json.Float !solver_words);
+            ("minor_words_per_flow", Json.Float words_per_flow);
             ("max_rel_err", Json.Float !max_rel_err);
           ]));
   output_char oc '\n';
   close_out oc;
   Printf.printf
     "megauser-smoke: %d classes, %d churn events: delta work %d vs eager \
-     component work %d (%.1fx), max rate error %.2e\n"
-    built churn_events delta_work !eager_work ratio !max_rel_err;
+     component work %d (%.1fx), %.1f minor words per flow touched, max \
+     rate error %.2e\n"
+    built churn_events delta_work !eager_work ratio words_per_flow
+    !max_rel_err;
   if built < classes_target * 9 / 10 then begin
     Printf.eprintf "megauser-smoke: workload too small: %d < %d classes\n"
       built (classes_target * 9 / 10);
@@ -251,6 +269,13 @@ let () =
       "megauser-smoke: solve-work budget missed: %.1fx < %.1fx — the delta \
        solver's scoping or fast path regressed?\n"
       ratio work_budget;
+    exit 1
+  end;
+  if words_per_flow > words_budget then begin
+    Printf.eprintf
+      "megauser-smoke: allocation budget missed: %.1f > %.1f minor words \
+       per flow touched — the delta solve allocates per flow again?\n"
+      words_per_flow words_budget;
     exit 1
   end;
   if !max_rel_err > tol then begin

@@ -397,6 +397,38 @@ let test_scenario_determinism () =
   check Alcotest.int "same control messages" a.Scenario.control_messages
     b.Scenario.control_messages
 
+(* The delta solver's work counters and the delivered bits of two small
+   seeded megauser days, recorded from an earlier implementation of the
+   same algorithm. The solve is exact float arithmetic whose order is
+   part of the contract (canonical flow order, first-reference link
+   numbering, ascending-fid load sums): a reordering the 1e-9 oracles
+   forgive still moves these bits. *)
+let test_scenario_megauser_pinned () =
+  List.iter
+    (fun (seed, cities, classes, (solves, flows_touched, expansions, promotions), bits) ->
+      let wan =
+        Wan.random_gnp ~seed ~n:cities ~p:(4.0 /. float_of_int cities) ()
+      in
+      let mu =
+        Scenario.run_wan_megauser ~seed ~wan ~classes ~headroom:0.95
+          ~duration:(Time.of_sec 60.0) ()
+      in
+      let d = Option.get mu.Scenario.mu_delta in
+      let label what = Printf.sprintf "seed %d: %s" seed what in
+      check Alcotest.int (label "solves") solves d.Fair_share.Delta.solves;
+      check Alcotest.int (label "flows_touched") flows_touched
+        d.Fair_share.Delta.flows_touched;
+      check Alcotest.int (label "expansions") expansions
+        d.Fair_share.Delta.expansions;
+      check Alcotest.int (label "promotions") promotions
+        d.Fair_share.Delta.promotions;
+      check Alcotest.string (label "delivered bits") (Printf.sprintf "%h" bits)
+        (Printf.sprintf "%h" mu.Scenario.mu_delivered_bits))
+    [
+      (2, 12, 300, (26, 8303, 26, 1826), 0x1.3084b435d6decp+42);
+      (5, 20, 400, (20, 10789, 20, 3352), 0x1.31b42313b8dcfp+42);
+    ]
+
 let test_scenario_te_ordering () =
   (* The demonstration's qualitative result: finer-grained TE delivers
      at least as much traffic. *)
@@ -525,5 +557,7 @@ let () =
           Alcotest.test_case "p4" `Slow test_scenario_p4;
           Alcotest.test_case "determinism" `Slow test_scenario_determinism;
           Alcotest.test_case "te ordering" `Slow test_scenario_te_ordering;
+          Alcotest.test_case "megauser delta solver pinned" `Quick
+            test_scenario_megauser_pinned;
         ] );
     ]

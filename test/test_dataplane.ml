@@ -7,8 +7,8 @@ open Horse_topo
 open Horse_dataplane
 
 let check = Alcotest.check
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* --- Fwd (longest prefix match) ---------------------------------------- *)
 
@@ -344,6 +344,19 @@ let gen_delta_schedule =
   in
   return (caps, events)
 
+(* Floats in hex so a shrunk counterexample replays bit-exactly. *)
+let print_delta_schedule (caps, events) =
+  let links ls = String.concat ";" (List.map string_of_int ls) in
+  let event = function
+    | Ev_add (d, ls) -> Printf.sprintf "add %h [%s]" d (links ls)
+    | Ev_remove k -> Printf.sprintf "remove alive#%d" k
+    | Ev_reroute (k, ls) -> Printf.sprintf "reroute alive#%d [%s]" k (links ls)
+    | Ev_flush -> "flush"
+  in
+  Printf.sprintf "caps [|%s|]\n%s"
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") caps)))
+    (String.concat "\n" (List.map event events))
+
 (* Replays a schedule through Delta while mirroring the alive set, and
    at every flush asserts (a) flows outside [Delta.touched] kept
    bit-identical rates — the untouched region is physically unchanged
@@ -417,7 +430,7 @@ let run_delta_schedule (caps, events) =
 let prop_fair_share_delta_schedule =
   qtest ~count:500
     "fair share: delta solves track the reference over random schedules"
-    gen_delta_schedule run_delta_schedule
+    ~print:print_delta_schedule gen_delta_schedule run_delta_schedule
 
 let test_delta_scoped_arrival () =
   (* Two disjoint bottlenecks; an arrival on one must not touch the
@@ -452,6 +465,88 @@ let test_delta_departure_propagates () =
   check (Alcotest.float 1e-9) "f1 rises" 1.5 (Fair_share.Delta.rate d ~id:1);
   check (Alcotest.float 1e-9) "f2 rises" 1.5 (Fair_share.Delta.rate d ~id:2);
   check (Alcotest.float 1e-9) "f0 gone" 0.0 (Fair_share.Delta.rate d ~id:0)
+
+let test_delta_pending_reroute_removed () =
+  (* A reroute that cannot be absorbed leaves the flow pending: its
+     rate is in no link's load yet. Removing it before the flush must
+     not subtract that rate from its new links, or a later arrival is
+     absorbed above capacity (shrunk from the random-schedule
+     property). *)
+  let caps =
+    [| 1.0; 0x1.936749cb7b122p+2; 1.0; 1.0; 0x1.b6c7c6ac7ca39p+0; 1.0;
+       0x1.beee6caad0b61p-1 |]
+  in
+  let capacity l = caps.(l) in
+  let d = Fair_share.Delta.create ~capacity () in
+  let demand = 0x1.bef0b6273cfe4p-1 in
+  Fair_share.Delta.add_flow d ~id:0 ~demand:0.0 ~links:[];
+  Fair_share.Delta.add_flow d ~id:1 ~demand:0.0 ~links:[ 0; 6 ];
+  Fair_share.Delta.add_flow d ~id:2 ~demand:0.0 ~links:[];
+  Fair_share.Delta.add_flow d ~id:3 ~demand ~links:[];
+  Fair_share.Delta.set_links d ~id:3 ~links:[ 0; 6 ];
+  Fair_share.Delta.remove_flow d ~id:3;
+  Fair_share.Delta.add_flow d ~id:4 ~demand:0.0 ~links:[];
+  Fair_share.Delta.add_flow d ~id:5 ~demand ~links:[ 0; 6 ];
+  Fair_share.Delta.flush d;
+  let want =
+    Fair_share.compute_reference ~capacity
+      (Array.map
+         (fun (demand, links) -> { Fair_share.demand; links })
+         [| (0.0, []); (0.0, [ 0; 6 ]); (0.0, []); (0.0, []); (demand, [ 0; 6 ]) |])
+  in
+  check (Alcotest.float 0.0) "reference caps f5 at link 6" caps.(6) want.(4);
+  check (Alcotest.float 1e-9) "f5 capped by link 6" want.(4)
+    (Fair_share.Delta.rate d ~id:5)
+
+(* Equal capacities and pooled demands make equal-share bottlenecks
+   common, so the solve's flow order and link numbering reach the
+   floats here even where the 1e-9 oracle cannot tell. The digest of
+   every rate's bits after every flush, and the work counters, were
+   recorded from an earlier implementation of the same algorithm. Each
+   event is flushed on its own. *)
+let test_delta_pinned_ties () =
+  let rng = Random.State.make [| 12 |] in
+  let n_links = 6 in
+  let caps = Array.init n_links (fun i -> [| 1.0; 2.0; 0.5 |].(i mod 3)) in
+  let d = Fair_share.Delta.create ~capacity:(fun l -> caps.(l)) () in
+  let alive = ref [] and next = ref 0 and bits = Buffer.create 65536 in
+  let links () =
+    List.sort_uniq Int.compare
+      (List.init (1 + Random.State.int rng 3) (fun _ ->
+           Random.State.int rng n_links))
+  in
+  let pick () = List.nth !alive (Random.State.int rng (List.length !alive)) in
+  for _ = 1 to 3000 do
+    (* arrivals outnumber departures until about 40 flows are alive *)
+    let k = Random.State.int rng 4 in
+    if !alive = [] || k = 0 || (k = 1 && List.length !alive < 40) then begin
+      let id = !next in
+      incr next;
+      alive := id :: !alive;
+      let demand = [| 0.25; 0.5; 1.0; 2.0 |].(Random.State.int rng 4) in
+      Fair_share.Delta.add_flow d ~id ~demand ~links:(links ())
+    end
+    else if k <= 2 then begin
+      let id = pick () in
+      alive := List.filter (fun x -> x <> id) !alive;
+      Fair_share.Delta.remove_flow d ~id
+    end
+    else Fair_share.Delta.set_links d ~id:(pick ()) ~links:(links ());
+    Fair_share.Delta.flush d;
+    List.iter
+      (fun id ->
+        Buffer.add_string bits
+          (Int64.to_string (Int64.bits_of_float (Fair_share.Delta.rate d ~id))))
+      !alive
+  done;
+  let s = Fair_share.Delta.stats d in
+  check Alcotest.string "rate bits digest" "df36f84ae243a39447016a18d1136a56"
+    (Digest.to_hex (Digest.string (Buffer.contents bits)));
+  check
+    Alcotest.(list int)
+    "solves, flows_touched, expansions, promotions"
+    [ 2961; 303523; 6343; 107938 ]
+    Fair_share.Delta.[ s.solves; s.flows_touched; s.expansions; s.promotions ]
 
 (* --- Fluid engine -------------------------------------------------------- *)
 
@@ -929,6 +1024,10 @@ let () =
             test_delta_scoped_arrival;
           Alcotest.test_case "delta: departure propagates" `Quick
             test_delta_departure_propagates;
+          Alcotest.test_case "delta: pending reroute removed" `Quick
+            test_delta_pending_reroute_removed;
+          Alcotest.test_case "delta: pinned tie-heavy schedule" `Quick
+            test_delta_pinned_ties;
         ] );
       ( "fluid",
         [
