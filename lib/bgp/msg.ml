@@ -6,10 +6,10 @@ type origin = Igp | Egp | Incomplete
 let origin_to_int = function Igp -> 0 | Egp -> 1 | Incomplete -> 2
 
 let origin_of_int = function
-  | 0 -> Ok Igp
-  | 1 -> Ok Egp
-  | 2 -> Ok Incomplete
-  | n -> Error (Printf.sprintf "bgp: bad origin %d" n)
+  | 0 -> Igp
+  | 1 -> Egp
+  | 2 -> Incomplete
+  | n -> failf "bgp: bad origin %d" n
 
 let pp_origin fmt o =
   Format.pp_print_string fmt
@@ -98,35 +98,24 @@ let write_prefix buf off p =
   done;
   off + 1 + nbytes
 
-let read_prefix buf off limit =
-  let* len = u8 buf off in
-  if len > 32 then Error (Printf.sprintf "bgp: prefix length %d > 32" len)
-  else
-    let nbytes = (len + 7) / 8 in
-    if off + 1 + nbytes > limit then Error "bgp: truncated prefix"
-    else begin
-      let addr = ref 0l in
-      let rec go i acc =
-        if i = nbytes then Ok acc
-        else
-          let* b = u8 buf (off + 1 + i) in
-          go (i + 1) (Int32.logor acc (Int32.shift_left (Int32.of_int b) (24 - (8 * i))))
-      in
-      let* a = go 0 !addr in
-      Ok (Prefix.make (Ipv4.of_int32 a) len, off + 1 + nbytes)
-    end
-
 let attr_flags_transitive = 0x40
 let attr_flags_optional = 0x80
+let attr_flags_extended = 0x10
+
+(* RFC 4271 4.3: a payload over 255 bytes takes the Extended Length
+   form, a 2-byte length field instead of 1. *)
+let attr_size payload_len = (if payload_len > 255 then 4 else 3) + payload_len
+
+let as_path_payload_len a =
+  match a.as_path with [] -> 0 | path -> 2 + (2 * List.length path)
 
 let attrs_wire_size a =
-  let as_path_len = List.length a.as_path in
-  3 + 1 (* origin *)
-  + 3 + (if as_path_len = 0 then 0 else 2 + (2 * as_path_len))
-  + 3 + 4 (* next hop *)
-  + (match a.med with Some _ -> 3 + 4 | None -> 0)
-  + (match a.local_pref with Some _ -> 3 + 4 | None -> 0)
-  + match a.communities with [] -> 0 | cs -> 3 + (4 * List.length cs)
+  attr_size 1 (* origin *)
+  + attr_size (as_path_payload_len a)
+  + attr_size 4 (* next hop *)
+  + (match a.med with Some _ -> attr_size 4 | None -> 0)
+  + (match a.local_pref with Some _ -> attr_size 4 | None -> 0)
+  + match a.communities with [] -> 0 | cs -> attr_size (4 * List.length cs)
 
 let write_attrs buf off a =
   if List.length a.as_path > 255 then
@@ -134,15 +123,25 @@ let write_attrs buf off a =
   List.iter (fun asn -> check_u16 "ASN" asn) a.as_path;
   let off = ref off in
   let attr type_ flags payload_len writer =
-    set_u8 buf !off flags;
+    let value_off =
+      if payload_len > 255 then begin
+        set_u8 buf !off (flags lor attr_flags_extended);
+        set_u16 buf (!off + 2) payload_len;
+        !off + 4
+      end
+      else begin
+        set_u8 buf !off flags;
+        set_u8 buf (!off + 2) payload_len;
+        !off + 3
+      end
+    in
     set_u8 buf (!off + 1) type_;
-    set_u8 buf (!off + 2) payload_len;
-    writer (!off + 3);
-    off := !off + 3 + payload_len
+    writer value_off;
+    off := value_off + payload_len
   in
   attr 1 attr_flags_transitive 1 (fun o -> set_u8 buf o (origin_to_int a.origin));
   let as_path_len = List.length a.as_path in
-  let seg_len = if as_path_len = 0 then 0 else 2 + (2 * as_path_len) in
+  let seg_len = as_path_payload_len a in
   attr 2 attr_flags_transitive seg_len (fun o ->
       if as_path_len > 0 then begin
         set_u8 buf o 2 (* AS_SEQUENCE *);
@@ -229,166 +228,143 @@ let encode t =
 
 (* --- decoding ------------------------------------------------------ *)
 
-let read_prefixes buf off limit =
-  let rec go off acc =
-    if off > limit then Error "bgp: prefix list overruns its length field"
-    else if off = limit then Ok (List.rev acc)
-    else
-      let* p, off' = read_prefix buf off limit in
-      go off' (p :: acc)
-  in
-  go off []
+(* The readers below raise [Wire.Malformed]; [decode] is their one
+   handler. Lists are built front to back by non-tail recursion (a
+   message holds at most a few thousand elements), so a decode
+   allocates its result and nothing else: no [result] per read, no
+   closure, no reversed copy. *)
 
-type partial_attrs = {
-  p_origin : origin option;
-  p_as_path : int list option;
-  p_next_hop : Ipv4.t option;
-  p_med : int option;
-  p_local_pref : int option;
-  p_communities : int list;
-}
+let rec read_prefixes buf off limit =
+  if off > limit then fail "bgp: prefix list overruns its length field"
+  else if off = limit then []
+  else begin
+    let len = u8 buf off in
+    if len > 32 then failf "bgp: prefix length %d > 32" len;
+    let nbytes = (len + 7) / 8 in
+    let next = off + 1 + nbytes in
+    if next > limit then fail "bgp: truncated prefix";
+    let addr = ref 0 in
+    for i = 1 to nbytes do
+      addr := (!addr lsl 8) lor u8 buf (off + i)
+    done;
+    let addr = !addr lsl (8 * (4 - nbytes)) in
+    let p = Prefix.make (Ipv4.of_int32 (Int32.of_int addr)) len in
+    p :: read_prefixes buf next limit
+  end
 
-let empty_partial =
-  {
-    p_origin = None;
-    p_as_path = None;
-    p_next_hop = None;
-    p_med = None;
-    p_local_pref = None;
-    p_communities = [];
-  }
+let rec read_u16s buf off n =
+  if n = 0 then []
+  else
+    let v = u16 buf off in
+    v :: read_u16s buf (off + 2) (n - 1)
+
+let rec read_u32s buf off n =
+  if n = 0 then []
+  else
+    let v = u32_int buf off in
+    v :: read_u32s buf (off + 4) (n - 1)
 
 let read_as_path buf off len =
-  if len = 0 then Ok []
-  else
-    let* seg_type = u8 buf off in
-    if seg_type <> 2 then Error "bgp: only AS_SEQUENCE segments supported"
-    else
-      let* count = u8 buf (off + 1) in
-      if 2 + (2 * count) <> len then Error "bgp: AS_PATH segment length mismatch"
-      else
-        let rec go i acc =
-          if i = count then Ok (List.rev acc)
-          else
-            let* asn = u16 buf (off + 2 + (2 * i)) in
-            go (i + 1) (asn :: acc)
-        in
-        go 0 []
+  if len = 0 then []
+  else begin
+    if u8 buf off <> 2 then fail "bgp: only AS_SEQUENCE segments supported";
+    let count = u8 buf (off + 1) in
+    if 2 + (2 * count) <> len then fail "bgp: AS_PATH segment length mismatch";
+    read_u16s buf (off + 2) count
+  end
 
+(* Attributes accumulate in locals rather than a record copied per
+   attribute: [-1] marks an absent integer-valued attribute (all are
+   unsigned on the wire), and the next hop stays an unboxed [int]
+   until the result is built. *)
 let read_attrs buf off limit =
-  let rec go off acc =
-    if off > limit then Error "bgp: attributes overrun their length field"
-    else if off = limit then Ok acc
-    else
-      let* flags = u8 buf off in
-      let* type_ = u8 buf (off + 1) in
-      let extended = flags land 0x10 <> 0 in
-      let* len, val_off =
-        if extended then
-          let* l = u16 buf (off + 2) in
-          Ok (l, off + 4)
-        else
-          let* l = u8 buf (off + 2) in
-          Ok (l, off + 3)
+  let origin = ref Igp and has_origin = ref false in
+  let as_path = ref [] and has_as_path = ref false in
+  let next_hop = ref (-1) and med = ref (-1) and local_pref = ref (-1) in
+  let communities = ref [] in
+  let off = ref off in
+  while !off < limit do
+    let o = !off in
+    let extended = u8 buf o land attr_flags_extended <> 0 in
+    let type_ = u8 buf (o + 1) in
+    let len = if extended then u16 buf (o + 2) else u8 buf (o + 2) in
+    let val_off = if extended then o + 4 else o + 3 in
+    if val_off + len > limit then fail "bgp: truncated attribute";
+    (match type_ with
+    | 1 ->
+        origin := origin_of_int (u8 buf val_off);
+        has_origin := true
+    | 2 ->
+        as_path := read_as_path buf val_off len;
+        has_as_path := true
+    | 3 -> next_hop := u32_int buf val_off
+    | 4 -> med := u32_int buf val_off
+    | 5 -> local_pref := u32_int buf val_off
+    | 8 ->
+        if len mod 4 <> 0 then fail "bgp: COMMUNITIES length not 4n";
+        communities := read_u32s buf val_off (len / 4)
+    | _ -> (* Unknown attribute: skip (we never set partial bit). *) ());
+    off := val_off + len
+  done;
+  if !off > limit then fail "bgp: attributes overrun their length field";
+  let opt v = if v < 0 then None else Some v in
+  match (!has_origin, !has_as_path, !next_hop >= 0) with
+  | true, true, true ->
+      Some
+        {
+          origin = !origin;
+          as_path = !as_path;
+          next_hop = Ipv4.of_int32 (Int32.of_int !next_hop);
+          med = opt !med;
+          local_pref = opt !local_pref;
+          communities = !communities;
+        }
+  | false, false, false -> None
+  | _, _, _ -> fail "bgp: missing mandatory attribute"
+
+let decode_exn buf =
+  ensure buf 0 header_size;
+  for i = 0 to 15 do
+    if Bytes.get buf i <> '\xff' then fail "bgp: bad marker"
+  done;
+  let len = u16 buf 16 in
+  if len <> Bytes.length buf then fail "bgp: length field mismatch";
+  let off = header_size in
+  match u8 buf 18 with
+  | 4 -> if len = header_size then Keepalive else fail "bgp: keepalive with body"
+  | 3 ->
+      let code = u8 buf off in
+      let subcode = u8 buf (off + 1) in
+      Notification { code; subcode }
+  | 1 ->
+      let version = u8 buf off in
+      if version <> 4 then failf "bgp: version %d" version;
+      let asn = u16 buf (off + 1) in
+      let hold_time_s = u16 buf (off + 3) in
+      let bgp_id = ipv4 buf (off + 5) in
+      if u8 buf (off + 9) <> 0 then fail "bgp: optional parameters unsupported";
+      Open { asn; hold_time_s; bgp_id }
+  | 2 ->
+      let wlen = u16 buf off in
+      let wstart = off + 2 in
+      let withdrawn = read_prefixes buf wstart (wstart + wlen) in
+      let alen = u16 buf (wstart + wlen) in
+      let astart = wstart + wlen + 2 in
+      let attrs = read_attrs buf astart (astart + alen) in
+      let nlri = read_prefixes buf (astart + alen) len in
+      let reach =
+        match (attrs, nlri) with
+        | Some a, _ -> Some (a, nlri)
+        | None, [] -> None
+        | None, _ :: _ -> fail "bgp: NLRI without attributes"
       in
-      if val_off + len > limit then Error "bgp: truncated attribute"
-      else
-        let* acc =
-          match type_ with
-          | 1 ->
-              let* o = u8 buf val_off in
-              let* origin = origin_of_int o in
-              Ok { acc with p_origin = Some origin }
-          | 2 ->
-              let* path = read_as_path buf val_off len in
-              Ok { acc with p_as_path = Some path }
-          | 3 ->
-              let* nh = ipv4 buf val_off in
-              Ok { acc with p_next_hop = Some nh }
-          | 4 ->
-              let* m = u32_int buf val_off in
-              Ok { acc with p_med = Some m }
-          | 5 ->
-              let* l = u32_int buf val_off in
-              Ok { acc with p_local_pref = Some l }
-          | 8 ->
-              if len mod 4 <> 0 then Error "bgp: COMMUNITIES length not 4n"
-              else
-                let rec go i acc' =
-                  if i = len / 4 then Ok (List.rev acc')
-                  else
-                    let* c = u32_int buf (val_off + (4 * i)) in
-                    go (i + 1) (c :: acc')
-                in
-                let* cs = go 0 [] in
-                Ok { acc with p_communities = cs }
-          | _ ->
-              (* Unknown attribute: skip (we never set partial bit). *)
-              Ok acc
-        in
-        go (val_off + len) acc
-  in
-  let* partial = go off empty_partial in
-  match (partial.p_origin, partial.p_as_path, partial.p_next_hop) with
-  | Some origin, Some as_path, Some next_hop ->
-      Ok
-        (Some
-           {
-             origin;
-             as_path;
-             next_hop;
-             med = partial.p_med;
-             local_pref = partial.p_local_pref;
-             communities = partial.p_communities;
-           })
-  | None, None, None -> Ok None
-  | _, _, _ -> Error "bgp: missing mandatory attribute"
+      Update { withdrawn; reach }
+  | n -> failf "bgp: unknown message type %d" n
 
 let decode buf =
-  let* () = check buf 0 header_size in
-  let marker_ok = ref true in
-  for i = 0 to 15 do
-    if Bytes.get buf i <> '\xff' then marker_ok := false
-  done;
-  if not !marker_ok then Error "bgp: bad marker"
-  else
-    let* len = u16 buf 16 in
-    if len <> Bytes.length buf then Error "bgp: length field mismatch"
-    else
-      let* type_ = u8 buf 18 in
-      let off = header_size in
-      match type_ with
-      | 4 -> if len = header_size then Ok Keepalive else Error "bgp: keepalive with body"
-      | 3 ->
-          let* code = u8 buf off in
-          let* subcode = u8 buf (off + 1) in
-          Ok (Notification { code; subcode })
-      | 1 ->
-          let* version = u8 buf off in
-          if version <> 4 then Error (Printf.sprintf "bgp: version %d" version)
-          else
-            let* asn = u16 buf (off + 1) in
-            let* hold_time_s = u16 buf (off + 3) in
-            let* bgp_id = ipv4 buf (off + 5) in
-            let* opt_len = u8 buf (off + 9) in
-            if opt_len <> 0 then Error "bgp: optional parameters unsupported"
-            else Ok (Open { asn; hold_time_s; bgp_id })
-      | 2 ->
-          let* wlen = u16 buf off in
-          let wstart = off + 2 in
-          let* withdrawn = read_prefixes buf wstart (wstart + wlen) in
-          let* alen = u16 buf (wstart + wlen) in
-          let astart = wstart + wlen + 2 in
-          let* attrs = read_attrs buf astart (astart + alen) in
-          let* nlri = read_prefixes buf (astart + alen) len in
-          let* reach =
-            match (attrs, nlri) with
-            | Some a, _ -> Ok (Some (a, nlri))
-            | None, [] -> Ok None
-            | None, _ :: _ -> Error "bgp: NLRI without attributes"
-          in
-          Ok (Update { withdrawn; reach })
-      | n -> Error (Printf.sprintf "bgp: unknown message type %d" n)
+  match decode_exn buf with
+  | t -> Ok t
+  | exception Malformed e -> Error e
 
 (* --- packed encoding ----------------------------------------------- *)
 

@@ -12,7 +12,6 @@ open Horse_net
 type origin = Igp | Egp | Incomplete
 
 val origin_to_int : origin -> int
-val origin_of_int : int -> (origin, string) result
 val pp_origin : Format.formatter -> origin -> unit
 
 type attrs = {
@@ -56,12 +55,15 @@ type t =
 
 val encode : t -> Bytes.t
 (** Full message including the 19-byte header with all-ones marker.
+    An attribute whose payload exceeds 255 bytes (an AS_PATH of 127
+    or more ASNs) is written in the RFC 4271 Extended Length form.
     @raise Invalid_argument if a field is out of range (ASN or hold
-    time beyond 16 bits, AS_PATH longer than 255). *)
+    time beyond 16 bits, AS_PATH longer than 255, message longer than
+    65,535 bytes). *)
 
 val decode : Bytes.t -> (t, string) result
 (** Parses one whole message; verifies the marker, the length field
-    and attribute well-formedness. *)
+    and attribute well-formedness. Total: never raises. *)
 
 val header_size : int
 (** 19 bytes. *)

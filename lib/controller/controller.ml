@@ -5,9 +5,12 @@ module Registry = Horse_telemetry.Registry
 module Counter = Registry.Counter
 module Gauge = Registry.Gauge
 
-type pending = Flow_stats of (Ofmsg.flow_stats list -> unit)
-             | Port_stats of (Ofmsg.port_stats list -> unit)
-             | Barrier of (unit -> unit)
+(* A stats request carries the entries of the reply parts received so
+   far; the continuation runs once, on the last part. *)
+type pending =
+  | Flow_stats of (Ofmsg.flow_stats list -> unit) * Ofmsg.flow_stats list
+  | Port_stats of (Ofmsg.port_stats list -> unit) * Ofmsg.port_stats list
+  | Barrier of (unit -> unit)
 
 type sw = {
   endpoint : Channel.endpoint;
@@ -96,14 +99,20 @@ let handle t sw msg xid =
                     pi.Ofmsg.in_port));
           List.iter (fun f -> f sw pi) t.packet_in_hooks)
   | Ofmsg.Port_status ps -> List.iter (fun f -> f sw ps) t.port_status_hooks
-  | Ofmsg.Stats_reply reply -> (
+  | Ofmsg.Stats_reply { reply; more } -> (
       match Hashtbl.find_opt t.pending xid with
       | None -> tracef t "unsolicited stats reply xid=%d" xid
       | Some pending -> (
           Hashtbl.remove t.pending xid;
           match (pending, reply) with
-          | Flow_stats k, Ofmsg.Flow_stats_rep entries -> k entries
-          | Port_stats k, Ofmsg.Port_stats_rep entries -> k entries
+          | Flow_stats (k, got), Ofmsg.Flow_stats_rep entries ->
+              if more then
+                Hashtbl.replace t.pending xid (Flow_stats (k, got @ entries))
+              else k (got @ entries)
+          | Port_stats (k, got), Ofmsg.Port_stats_rep entries ->
+              if more then
+                Hashtbl.replace t.pending xid (Port_stats (k, got @ entries))
+              else k (got @ entries)
           | Flow_stats _, Ofmsg.Port_stats_rep _
           | Port_stats _, Ofmsg.Flow_stats_rep _ ->
               tracef t "stats reply kind mismatch xid=%d" xid
@@ -153,12 +162,12 @@ let send_packet_out t sw po = send_xid sw (fresh_xid t) (Ofmsg.Packet_out po)
 
 let request_flow_stats t sw ?(match_ = Ofmatch.any) k =
   let xid = fresh_xid t in
-  Hashtbl.replace t.pending xid (Flow_stats k);
+  Hashtbl.replace t.pending xid (Flow_stats (k, []));
   send_xid sw xid (Ofmsg.Stats_request (Ofmsg.Flow_stats_req match_))
 
 let request_port_stats t sw k =
   let xid = fresh_xid t in
-  Hashtbl.replace t.pending xid (Port_stats k);
+  Hashtbl.replace t.pending xid (Port_stats (k, []));
   send_xid sw xid (Ofmsg.Stats_request (Ofmsg.Port_stats_req 0xFFFF))
 
 let barrier t sw k =

@@ -43,8 +43,9 @@ val send_packet_out : t -> sw -> Ofmsg.packet_out -> unit
 
 val request_flow_stats :
   t -> sw -> ?match_:Ofmatch.t -> (Ofmsg.flow_stats list -> unit) -> unit
-(** Asynchronous; the callback runs when the reply arrives. The
-    default match is all-wildcards. *)
+(** Asynchronous; the callback runs once, with every entry, when the
+    last part of the reply arrives (a reply over 64 KiB comes in
+    OFPSF_REPLY_MORE parts). The default match is all-wildcards. *)
 
 val request_port_stats : t -> sw -> (Ofmsg.port_stats list -> unit) -> unit
 

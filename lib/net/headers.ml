@@ -43,10 +43,10 @@ module Eth = struct
     set_u16 buf (off + 12) (ethertype_to_int t.ethertype)
 
   let read buf off =
-    let* dst = mac buf off in
-    let* src = mac buf (off + 6) in
-    let* et = u16 buf (off + 12) in
-    Ok { dst; src; ethertype = ethertype_of_int et }
+    let dst = mac buf off in
+    let src = mac buf (off + 6) in
+    let et = u16 buf (off + 12) in
+    { dst; src; ethertype = ethertype_of_int et }
 
   let equal a b =
     Mac.equal a.dst b.dst && Mac.equal a.src b.src
@@ -82,25 +82,23 @@ module Arp = struct
     set_ipv4 buf (off + 24) t.target_ip
 
   let read buf off =
-    let* htype = u16 buf off in
-    let* ptype = u16 buf (off + 2) in
-    let* hlen = u8 buf (off + 4) in
-    let* plen = u8 buf (off + 5) in
+    let htype = u16 buf off in
+    let ptype = u16 buf (off + 2) in
+    let hlen = u8 buf (off + 4) in
+    let plen = u8 buf (off + 5) in
     if htype <> 1 || ptype <> 0x0800 || hlen <> 6 || plen <> 4 then
-      Error "arp: unsupported hardware/protocol type"
-    else
-      let* opn = u16 buf (off + 6) in
-      let* op =
-        match opn with
-        | 1 -> Ok Request
-        | 2 -> Ok Reply
-        | n -> Error (Printf.sprintf "arp: unknown opcode %d" n)
-      in
-      let* sender_mac = mac buf (off + 8) in
-      let* sender_ip = ipv4 buf (off + 14) in
-      let* target_mac = mac buf (off + 18) in
-      let* target_ip = ipv4 buf (off + 24) in
-      Ok { op; sender_mac; sender_ip; target_mac; target_ip }
+      fail "arp: unsupported hardware/protocol type";
+    let op =
+      match u16 buf (off + 6) with
+      | 1 -> Request
+      | 2 -> Reply
+      | n -> failf "arp: unknown opcode %d" n
+    in
+    let sender_mac = mac buf (off + 8) in
+    let sender_ip = ipv4 buf (off + 14) in
+    let target_mac = mac buf (off + 18) in
+    let target_ip = ipv4 buf (off + 24) in
+    { op; sender_mac; sender_ip; target_mac; target_ip }
 
   let equal a b =
     a.op = b.op
@@ -144,32 +142,29 @@ module Ip = struct
     set_u16 buf (off + 10) (Checksum.of_bytes buf off size)
 
   let read buf off =
-    let* vihl = u8 buf off in
-    if vihl lsr 4 <> 4 then Error "ip: not version 4"
-    else if vihl land 0xF <> 5 then Error "ip: options unsupported"
-    else
-      let* () = check buf off size in
-      if not (Checksum.verify buf off size) then Error "ip: bad header checksum"
-      else
-        let* tos = u8 buf (off + 1) in
-        let* total_length = u16 buf (off + 2) in
-        let* ident = u16 buf (off + 4) in
-        let* frag = u16 buf (off + 6) in
-        let* ttl = u8 buf (off + 8) in
-        let* proto = u8 buf (off + 9) in
-        let* src = ipv4 buf (off + 12) in
-        let* dst = ipv4 buf (off + 16) in
-        Ok
-          {
-            dscp = tos lsr 2;
-            ident;
-            dont_fragment = frag land 0x4000 <> 0;
-            ttl;
-            proto = Proto.of_int proto;
-            src;
-            dst;
-            total_length;
-          }
+    let vihl = u8 buf off in
+    if vihl lsr 4 <> 4 then fail "ip: not version 4";
+    if vihl land 0xF <> 5 then fail "ip: options unsupported";
+    ensure buf off size;
+    if not (Checksum.verify buf off size) then fail "ip: bad header checksum";
+    let tos = u8 buf (off + 1) in
+    let total_length = u16 buf (off + 2) in
+    let ident = u16 buf (off + 4) in
+    let frag = u16 buf (off + 6) in
+    let ttl = u8 buf (off + 8) in
+    let proto = u8 buf (off + 9) in
+    let src = ipv4 buf (off + 12) in
+    let dst = ipv4 buf (off + 16) in
+    {
+      dscp = tos lsr 2;
+      ident;
+      dont_fragment = frag land 0x4000 <> 0;
+      ttl;
+      proto = Proto.of_int proto;
+      src;
+      dst;
+      total_length;
+    }
 
   let equal a b =
     a.dscp = b.dscp && a.ident = b.ident
@@ -214,11 +209,11 @@ module Udp = struct
     set_u16 buf (off + 6) (if csum = 0 then 0xFFFF else csum)
 
   let read buf off =
-    let* src_port = u16 buf off in
-    let* dst_port = u16 buf (off + 2) in
-    let* length = u16 buf (off + 4) in
-    if length < size then Error "udp: length shorter than header"
-    else Ok { src_port; dst_port; length }
+    let src_port = u16 buf off in
+    let dst_port = u16 buf (off + 2) in
+    let length = u16 buf (off + 4) in
+    if length < size then fail "udp: length shorter than header";
+    { src_port; dst_port; length }
 
   let equal a b =
     a.src_port = b.src_port && a.dst_port = b.dst_port && a.length = b.length
@@ -275,16 +270,14 @@ module Tcp = struct
     set_u16 buf (off + 16) (Checksum.finish acc)
 
   let read buf off =
-    let* src_port = u16 buf off in
-    let* dst_port = u16 buf (off + 2) in
-    let* seq = u32_int buf (off + 4) in
-    let* ack_num = u32_int buf (off + 8) in
-    let* data_off = u8 buf (off + 12) in
-    if data_off lsr 4 <> 5 then Error "tcp: options unsupported"
-    else
-      let* fl = u8 buf (off + 13) in
-      let* window = u16 buf (off + 14) in
-      Ok { src_port; dst_port; seq; ack_num; flags = flags_of_int fl; window }
+    let src_port = u16 buf off in
+    let dst_port = u16 buf (off + 2) in
+    let seq = u32_int buf (off + 4) in
+    let ack_num = u32_int buf (off + 8) in
+    if u8 buf (off + 12) lsr 4 <> 5 then fail "tcp: options unsupported";
+    let fl = u8 buf (off + 13) in
+    let window = u16 buf (off + 14) in
+    { src_port; dst_port; seq; ack_num; flags = flags_of_int fl; window }
 
   let equal a b =
     a.src_port = b.src_port && a.dst_port = b.dst_port && a.seq = b.seq

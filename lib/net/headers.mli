@@ -1,9 +1,10 @@
 (** Protocol header records and their wire codecs.
 
-    Each header module offers [size] (fixed encoded size in bytes, or
-    [size_of] when variable), [write buf off t] and
-    [read : t Wire.reader]. Checksums are computed by [write] and
-    validated by the packet-level decoder in {!Packet}, not here. *)
+    Each header module offers [size] (fixed encoded size in bytes),
+    [write buf off t] and [read buf off], which returns the header at
+    [off] or raises {!Wire.Malformed}; {!Packet.decode} is the total
+    decoder that handles it. Checksums are computed by [write] and,
+    except for the IPv4 header's own, validated by {!Packet.decode}. *)
 
 (** IP protocol numbers used by the library. *)
 module Proto : sig
@@ -27,7 +28,7 @@ module Eth : sig
   val ethertype_to_int : ethertype -> int
   val ethertype_of_int : int -> ethertype
   val write : Bytes.t -> int -> t -> unit
-  val read : t Wire.reader
+  val read : Bytes.t -> int -> t
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end
@@ -49,7 +50,7 @@ module Arp : sig
 
   val write : Bytes.t -> int -> t -> unit
 
-  val read : t Wire.reader
+  val read : Bytes.t -> int -> t
   (** Fails on non-Ethernet/IPv4 hardware or protocol types and on
       unknown opcodes. *)
 
@@ -76,7 +77,7 @@ module Ip : sig
   val write : Bytes.t -> int -> t -> unit
   (** Writes the header with a correct checksum. *)
 
-  val read : t Wire.reader
+  val read : Bytes.t -> int -> t
   (** Fails on version <> 4, IHL <> 5, or bad header checksum. *)
 
   val equal : t -> t -> bool
@@ -102,7 +103,7 @@ module Udp : sig
       pseudo-header and [t.length - size] payload bytes which must
       already be present at [payload_off]. *)
 
-  val read : t Wire.reader
+  val read : Bytes.t -> int -> t
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end
@@ -135,7 +136,7 @@ module Tcp : sig
     payload_len:int ->
     unit
 
-  val read : t Wire.reader
+  val read : Bytes.t -> int -> t
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end

@@ -56,59 +56,48 @@ let encode t =
   buf
 
 let decode_l4 buf off (ip : Ip.t) =
-  let open Wire in
   let avail = ip.total_length - Ip.size in
-  let* () =
-    if avail < 0 then Error "ip: total_length shorter than header"
-    else check buf off avail
-  in
+  if avail < 0 then Wire.fail "ip: total_length shorter than header";
+  Wire.ensure buf off avail;
   match ip.proto with
   | Proto.Udp ->
-      let* u = Udp.read buf off in
-      if u.Udp.length > avail then Error "udp: length exceeds ip payload"
-      else
-        let sum =
-          pseudo_header_sum ~src:ip.src ~dst:ip.dst ~proto:Proto.Udp
-            ~length:u.Udp.length
-        in
-        let sum = Checksum.add_bytes sum buf off u.Udp.length in
-        if Checksum.finish sum <> 0 then Error "udp: bad checksum"
-        else
-          let* payload = bytes (u.Udp.length - Udp.size) buf (off + Udp.size) in
-          Ok (Udp (u, payload))
+      let u = Udp.read buf off in
+      if u.Udp.length > avail then Wire.fail "udp: length exceeds ip payload";
+      let sum =
+        pseudo_header_sum ~src:ip.src ~dst:ip.dst ~proto:Proto.Udp
+          ~length:u.Udp.length
+      in
+      let sum = Checksum.add_bytes sum buf off u.Udp.length in
+      if Checksum.finish sum <> 0 then Wire.fail "udp: bad checksum";
+      Udp (u, Wire.bytes (u.Udp.length - Udp.size) buf (off + Udp.size))
   | Proto.Tcp ->
-      let* tc = Tcp.read buf off in
+      let tc = Tcp.read buf off in
       let sum =
         pseudo_header_sum ~src:ip.src ~dst:ip.dst ~proto:Proto.Tcp
           ~length:avail
       in
       let sum = Checksum.add_bytes sum buf off avail in
-      if Checksum.finish sum <> 0 then Error "tcp: bad checksum"
-      else
-        let* payload = bytes (avail - Tcp.size) buf (off + Tcp.size) in
-        Ok (Tcp (tc, payload))
-  | Proto.Icmp | Proto.Other _ ->
-      let* payload = bytes avail buf off in
-      Ok (Raw_l4 (ip.proto, payload))
+      if Checksum.finish sum <> 0 then Wire.fail "tcp: bad checksum";
+      Tcp (tc, Wire.bytes (avail - Tcp.size) buf (off + Tcp.size))
+  | Proto.Icmp | Proto.Other _ -> Raw_l4 (ip.proto, Wire.bytes avail buf off)
+
+let decode_exn buf =
+  let eth = Eth.read buf 0 in
+  let off = Eth.size in
+  let body =
+    match eth.Eth.ethertype with
+    | Eth.Arp_type -> Arp (Arp.read buf off)
+    | Eth.Ipv4_type ->
+        let ip = Ip.read buf off in
+        Ipv4 (ip, decode_l4 buf (off + Ip.size) ip)
+    | Eth.Unknown _ -> Raw (Wire.bytes (Bytes.length buf - off) buf off)
+  in
+  { eth; body }
 
 let decode buf =
-  let open Wire in
-  let* eth = Eth.read buf 0 in
-  let off = Eth.size in
-  let* body =
-    match eth.Eth.ethertype with
-    | Eth.Arp_type ->
-        let* a = Arp.read buf off in
-        Ok (Arp a)
-    | Eth.Ipv4_type ->
-        let* ip = Ip.read buf off in
-        let* l4 = decode_l4 buf (off + Ip.size) ip in
-        Ok (Ipv4 (ip, l4))
-    | Eth.Unknown _ ->
-        let* payload = bytes (Bytes.length buf - off) buf off in
-        Ok (Raw payload)
-  in
-  Ok { eth; body }
+  match decode_exn buf with
+  | t -> Ok t
+  | exception Wire.Malformed e -> Error e
 
 let ip_header ?(ttl = 64) ~src ~dst proto =
   {

@@ -27,7 +27,8 @@ val decode : Bytes.t -> (t, string) result
 (** Parses a frame produced by {!encode} (or any well-formed frame
     within this library's supported feature set). Validates IPv4 and
     L4 checksums; an IPv4 [total_length] shorter than the available
-    bytes truncates the payload, longer is an error. *)
+    bytes truncates the payload, longer is an error. Total: never
+    raises. *)
 
 val size : t -> int
 (** Encoded size in bytes, without encoding. *)

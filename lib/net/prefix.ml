@@ -1,13 +1,16 @@
 type t = { net : Ipv4.t; len : int }
 
-let mask_of_len len =
+let[@inline] mask_of_len len =
   if len = 0 then 0l
   else Int32.shift_left 0xFFFFFFFFl (32 - len)
 
 let make addr len =
   if len < 0 || len > 32 then
     invalid_arg (Printf.sprintf "Prefix.make: bad length %d" len);
-  { net = Ipv4.of_int32 (Int32.logand (Ipv4.to_int32 addr) (mask_of_len len)); len }
+  let a = Ipv4.to_int32 addr in
+  let net = Int32.logand a (mask_of_len len) in
+  (* Reuse the caller's boxed address when it is already a network. *)
+  { net = (if Int32.equal net a then addr else Ipv4.of_int32 net); len }
 
 let of_string s =
   match String.index_opt s '/' with

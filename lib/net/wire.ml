@@ -1,44 +1,43 @@
-type 'a reader = Bytes.t -> int -> ('a, string) result
+exception Malformed of string
 
-let check buf off len =
-  if off >= 0 && len >= 0 && off + len <= Bytes.length buf then Ok ()
-  else
-    Error
-      (Printf.sprintf "short buffer: need [%d,%d) but length is %d" off
-         (off + len) (Bytes.length buf))
+let fail msg = raise (Malformed msg)
+let failf fmt = Printf.ksprintf fail fmt
 
-let ( let* ) = Result.bind
+let short buf off len =
+  failf "short buffer: need [%d,%d) but length is %d" off (off + len)
+    (Bytes.length buf)
+
+let ensure buf off len =
+  if not (off >= 0 && len >= 0 && off + len <= Bytes.length buf) then
+    short buf off len
+
+(* Each reader checks its range once and then reads unchecked. *)
 
 let u8 buf off =
-  let* () = check buf off 1 in
-  Ok (Bytes.get_uint8 buf off)
+  if off < 0 || off + 1 > Bytes.length buf then short buf off 1;
+  Bytes.get_uint8 buf off
 
 let u16 buf off =
-  let* () = check buf off 2 in
-  Ok (Bytes.get_uint16_be buf off)
-
-let u32 buf off =
-  let* () = check buf off 4 in
-  Ok (Bytes.get_int32_be buf off)
+  if off < 0 || off + 2 > Bytes.length buf then short buf off 2;
+  Bytes.get_uint16_be buf off
 
 let u32_int buf off =
-  let* v = u32 buf off in
-  Ok (Int32.to_int v land 0xFFFFFFFF)
+  if off < 0 || off + 4 > Bytes.length buf then short buf off 4;
+  Int32.to_int (Bytes.get_int32_be buf off) land 0xFFFFFFFF
 
 let bytes n buf off =
-  let* () = check buf off n in
-  Ok (Bytes.sub buf off n)
+  ensure buf off n;
+  Bytes.sub buf off n
 
 let ipv4 buf off =
-  let* v = u32 buf off in
-  Ok (Ipv4.of_int32 v)
+  if off < 0 || off + 4 > Bytes.length buf then short buf off 4;
+  Ipv4.of_int32 (Bytes.get_int32_be buf off)
 
 let mac buf off =
-  let* () = check buf off 6 in
+  if off < 0 || off + 6 > Bytes.length buf then short buf off 6;
   let hi = Bytes.get_uint16_be buf off in
-  let lo = Bytes.get_int32_be buf (off + 2) in
-  let lo = Int64.logand (Int64.of_int32 lo) 0xFFFFFFFFL in
-  Ok (Mac.of_int64 (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) lo))
+  let lo = Int32.to_int (Bytes.get_int32_be buf (off + 2)) land 0xFFFFFFFF in
+  Mac.of_int64 (Int64.of_int ((hi lsl 32) lor lo))
 
 let set_u8 buf off v = Bytes.set_uint8 buf off (v land 0xFF)
 let set_u16 buf off v = Bytes.set_uint16_be buf off (v land 0xFFFF)

@@ -24,33 +24,24 @@ let write buf off a =
   off + 8
 
 let read buf off =
-  let* type_ = u16 buf off in
-  if type_ <> 0 then Error (Printf.sprintf "ofp_action: unsupported type %d" type_)
-  else
-    let* len = u16 buf (off + 2) in
-    if len <> 8 then Error "ofp_action: bad length"
-    else
-      let* port = u16 buf (off + 4) in
-      let* max_len = u16 buf (off + 6) in
-      let action =
-        if port = port_flood then Flood
-        else if port = port_controller then To_controller max_len
-        else Output port
-      in
-      Ok (action, off + 8)
+  let type_ = u16 buf off in
+  if type_ <> 0 then failf "ofp_action: unsupported type %d" type_;
+  if u16 buf (off + 2) <> 8 then fail "ofp_action: bad length";
+  let port = u16 buf (off + 4) in
+  let max_len = u16 buf (off + 6) in
+  if port = port_flood then Flood
+  else if port = port_controller then To_controller max_len
+  else Output port
 
 let write_list buf off actions =
   List.fold_left (fun off a -> write buf off a) off actions
 
-let read_list buf off ~limit =
-  let rec go off acc =
-    if off > limit then Error "ofp_action: list overruns"
-    else if off = limit then Ok (List.rev acc)
-    else
-      let* a, off' = read buf off in
-      go off' (a :: acc)
-  in
-  go off []
+let rec read_list buf off ~limit =
+  if off > limit then fail "ofp_action: list overruns"
+  else if off = limit then []
+  else
+    let a = read buf off in
+    a :: read_list buf (off + 8) ~limit
 
 let equal a b =
   match (a, b) with

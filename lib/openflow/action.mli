@@ -11,11 +11,16 @@ val size : t -> int
 val write : Bytes.t -> int -> t -> int
 (** Writes one action, returns the offset past it. *)
 
-val read : Bytes.t -> int -> ((t * int, string) result)
-(** Reads one action, returns it and the offset past it. *)
+val read : Bytes.t -> int -> t
+(** Reads the 8-byte action at the offset.
+    @raise Horse_net.Wire.Malformed on a bad or truncated action. *)
 
 val write_list : Bytes.t -> int -> t list -> int
-val read_list : Bytes.t -> int -> limit:int -> (t list, string) result
+
+val read_list : Bytes.t -> int -> limit:int -> t list
+(** Reads actions from the offset up to [limit].
+    @raise Horse_net.Wire.Malformed as {!read}, or when the list
+    overruns [limit]. *)
 
 val list_size : t list -> int
 

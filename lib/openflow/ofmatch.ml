@@ -364,34 +364,46 @@ let write buf off t =
   set_u16 buf (off + 36) (Option.value t.m_tp_src ~default:0);
   set_u16 buf (off + 38) (Option.value t.m_tp_dst ~default:0)
 
+(* A field is read only when the wildcards keep it, but bounds-checked
+   either way, so a short match fails at the same field whatever its
+   wildcards say. *)
+let read_field keep read buf off len =
+  if keep then Some (read buf off)
+  else begin
+    ensure buf off len;
+    None
+  end
+
+let read_nw wildcards shift buf off =
+  let bits = (wildcards lsr shift) land 0x3F in
+  if bits >= 32 then begin
+    ensure buf off 4;
+    None
+  end
+  else Some (Prefix.make (ipv4 buf off) (32 - bits))
+
 let read buf off =
-  let* wildcards = u32_int buf off in
-  let has bit = wildcards land bit = 0 in
-  let* in_port = u16 buf (off + 4) in
-  let* eth_src = mac buf (off + 6) in
-  let* eth_dst = mac buf (off + 12) in
-  let* eth_type = u16 buf (off + 22) in
-  let* ip_proto = u8 buf (off + 25) in
-  let* ip_src = ipv4 buf (off + 28) in
-  let* ip_dst = ipv4 buf (off + 32) in
-  let* tp_src = u16 buf (off + 36) in
-  let* tp_dst = u16 buf (off + 38) in
-  let nw_prefix shift addr =
-    let bits = (wildcards lsr shift) land 0x3F in
-    if bits >= 32 then None else Some (Prefix.make addr (32 - bits))
-  in
-  Ok
-    {
-      m_in_port = (if has fw_in_port then Some in_port else None);
-      m_eth_src = (if has fw_dl_src then Some eth_src else None);
-      m_eth_dst = (if has fw_dl_dst then Some eth_dst else None);
-      m_eth_type = (if has fw_dl_type then Some eth_type else None);
-      m_ip_src = nw_prefix fw_nw_src_shift ip_src;
-      m_ip_dst = nw_prefix fw_nw_dst_shift ip_dst;
-      m_ip_proto = (if has fw_nw_proto then Some ip_proto else None);
-      m_tp_src = (if has fw_tp_src then Some tp_src else None);
-      m_tp_dst = (if has fw_tp_dst then Some tp_dst else None);
-    }
+  let w = u32_int buf off in
+  let m_in_port = read_field (w land fw_in_port = 0) u16 buf (off + 4) 2 in
+  let m_eth_src = read_field (w land fw_dl_src = 0) mac buf (off + 6) 6 in
+  let m_eth_dst = read_field (w land fw_dl_dst = 0) mac buf (off + 12) 6 in
+  let m_eth_type = read_field (w land fw_dl_type = 0) u16 buf (off + 22) 2 in
+  let m_ip_proto = read_field (w land fw_nw_proto = 0) u8 buf (off + 25) 1 in
+  let m_ip_src = read_nw w fw_nw_src_shift buf (off + 28) in
+  let m_ip_dst = read_nw w fw_nw_dst_shift buf (off + 32) in
+  let m_tp_src = read_field (w land fw_tp_src = 0) u16 buf (off + 36) 2 in
+  let m_tp_dst = read_field (w land fw_tp_dst = 0) u16 buf (off + 38) 2 in
+  {
+    m_in_port;
+    m_eth_src;
+    m_eth_dst;
+    m_eth_type;
+    m_ip_src;
+    m_ip_dst;
+    m_ip_proto;
+    m_tp_src;
+    m_tp_dst;
+  }
 
 let equal a b =
   a.m_in_port = b.m_in_port

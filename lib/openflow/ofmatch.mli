@@ -134,7 +134,9 @@ val size : int
 (** 40 bytes encoded. *)
 
 val write : Bytes.t -> int -> t -> unit
-val read : t Wire.reader
+val read : Bytes.t -> int -> t
+(** Reads the 40-byte [ofp_match] at the offset.
+    @raise Wire.Malformed when it overruns the buffer. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

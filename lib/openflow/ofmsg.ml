@@ -57,20 +57,21 @@ type t =
   | Flow_mod of flow_mod
   | Port_status of port_status
   | Stats_request of stats_request
-  | Stats_reply of stats_reply
+  | Stats_reply of { reply : stats_reply; more : bool }
   | Barrier_request
   | Barrier_reply
 
 let header_size = 8
+let max_message_size = 0xFFFF
 
 let set_u64 buf off v =
   set_u32_int buf off (v lsr 32);
   set_u32_int buf (off + 4) (v land 0xFFFFFFFF)
 
 let u64 buf off =
-  let* hi = u32_int buf off in
-  let* lo = u32_int buf (off + 4) in
-  Ok ((hi lsl 32) lor lo)
+  let hi = u32_int buf off in
+  let lo = u32_int buf (off + 4) in
+  (hi lsl 32) lor lo
 
 let type_code = function
   | Hello -> 0
@@ -90,10 +91,13 @@ let type_code = function
 let command_code = function Add -> 0 | Modify -> 1 | Delete -> 3
 
 let command_of_code = function
-  | 0 -> Ok Add
-  | 1 -> Ok Modify
-  | 3 -> Ok Delete
-  | n -> Error (Printf.sprintf "openflow: flow_mod command %d unsupported" n)
+  | 0 -> Add
+  | 1 -> Modify
+  | 3 -> Delete
+  | n -> failf "openflow: flow_mod command %d unsupported" n
+
+(* ofp_stats_reply flags: more parts of this reply follow. *)
+let ofpsf_reply_more = 1
 
 let flow_stats_entry_size fs = 2 + 1 + 1 + Ofmatch.size + 20 + 8 + 8 + 8 + Action.list_size fs.fs_actions
 
@@ -108,12 +112,17 @@ let body_size = function
   | Flow_mod fm -> Ofmatch.size + 8 + 2 + 2 + 2 + 2 + 4 + 2 + 2 + Action.list_size fm.actions
   | Stats_request (Flow_stats_req _) -> 4 + Ofmatch.size + 4
   | Stats_request (Port_stats_req _) -> 4 + 8
-  | Stats_reply (Flow_stats_rep entries) ->
+  | Stats_reply { reply = Flow_stats_rep entries; _ } ->
       4 + List.fold_left (fun acc e -> acc + flow_stats_entry_size e) 0 entries
-  | Stats_reply (Port_stats_rep entries) -> 4 + (40 * List.length entries)
+  | Stats_reply { reply = Port_stats_rep entries; _ } ->
+      4 + (40 * List.length entries)
 
 let encode ?(xid = 0) t =
   let len = header_size + body_size t in
+  if len > max_message_size then
+    invalid_arg
+      (Printf.sprintf "Ofmsg.encode: message length %d exceeds %d" len
+         max_message_size);
   let buf = Bytes.make len '\000' in
   set_u8 buf 0 0x01 (* version *);
   set_u8 buf 1 (type_code t);
@@ -165,9 +174,9 @@ let encode ?(xid = 0) t =
       set_u16 buf off 4 (* OFPST_PORT *);
       set_u16 buf (off + 2) 0;
       set_u16 buf (off + 4) port
-  | Stats_reply (Flow_stats_rep entries) ->
+  | Stats_reply { reply = Flow_stats_rep entries; more } ->
       set_u16 buf off 1;
-      set_u16 buf (off + 2) 0;
+      set_u16 buf (off + 2) (if more then ofpsf_reply_more else 0);
       let o = ref (off + 4) in
       List.iter
         (fun e ->
@@ -188,9 +197,9 @@ let encode ?(xid = 0) t =
           ignore (Action.write_list buf (p + 44) e.fs_actions);
           o := !o + entry_len)
         entries
-  | Stats_reply (Port_stats_rep entries) ->
+  | Stats_reply { reply = Port_stats_rep entries; more } ->
       set_u16 buf off 4;
-      set_u16 buf (off + 2) 0;
+      set_u16 buf (off + 2) (if more then ofpsf_reply_more else 0);
       let o = ref (off + 4) in
       List.iter
         (fun e ->
@@ -203,135 +212,139 @@ let encode ?(xid = 0) t =
         entries);
   buf
 
-let decode buf =
-  let* version = u8 buf 0 in
-  if version <> 0x01 then Error (Printf.sprintf "openflow: version 0x%02x" version)
-  else
-    let* type_ = u8 buf 1 in
-    let* len = u16 buf 2 in
-    if len <> Bytes.length buf then Error "openflow: length field mismatch"
-    else
-      let* xid = u32_int buf 4 in
-      let off = header_size in
-      let* msg =
-        match type_ with
-        | 0 -> Ok Hello
-        | 2 -> Ok Echo_request
-        | 3 -> Ok Echo_reply
-        | 5 -> Ok Features_request
-        | 18 -> Ok Barrier_request
-        | 19 -> Ok Barrier_reply
-        | 6 ->
-            let* dpid = u64 buf off in
-            let* n_ports = u32_int buf (off + 12) in
-            Ok (Features_reply { dpid; n_ports })
-        | 12 ->
-            let* pst_reason = u8 buf off in
-            let* pst_port = u16 buf (off + 8) in
-            Ok (Port_status { pst_reason; pst_port })
-        | 10 ->
-            let* buffer_id = u32_int buf off in
-            let* total_len = u16 buf (off + 4) in
-            let* in_port = u16 buf (off + 6) in
-            let* reason = u8 buf (off + 8) in
-            let* data = bytes (len - off - 10) buf (off + 10) in
-            Ok (Packet_in { buffer_id; total_len; in_port; reason; data })
-        | 13 ->
-            let* po_in_port = u16 buf (off + 4) in
-            let* actions_len = u16 buf (off + 6) in
-            let* po_actions =
-              Action.read_list buf (off + 8) ~limit:(off + 8 + actions_len)
-            in
-            let data_off = off + 8 + actions_len in
-            let* po_data = bytes (len - data_off) buf data_off in
-            Ok (Packet_out { po_in_port; po_actions; po_data })
-        | 14 ->
-            let* match_ = Ofmatch.read buf off in
-            let o = off + Ofmatch.size in
-            let* cookie = u64 buf o in
-            let* cmd = u16 buf (o + 8) in
-            let* command = command_of_code cmd in
-            let* idle_timeout_s = u16 buf (o + 10) in
-            let* hard_timeout_s = u16 buf (o + 12) in
-            let* priority = u16 buf (o + 14) in
-            let* actions = Action.read_list buf (o + 24) ~limit:len in
-            Ok
-              (Flow_mod
-                 {
-                   match_;
-                   cookie;
-                   command;
-                   idle_timeout_s;
-                   hard_timeout_s;
-                   priority;
-                   actions;
-                 })
-        | 16 -> (
-            let* stype = u16 buf off in
-            match stype with
-            | 1 ->
-                let* m = Ofmatch.read buf (off + 4) in
-                Ok (Stats_request (Flow_stats_req m))
-            | 4 ->
-                let* port = u16 buf (off + 4) in
-                Ok (Stats_request (Port_stats_req port))
-            | n -> Error (Printf.sprintf "openflow: stats type %d unsupported" n))
-        | 17 -> (
-            let* stype = u16 buf off in
-            match stype with
-            | 1 ->
-                let rec go o acc =
-                  if o > len then Error "openflow: flow stats overrun"
-                  else if o = len then Ok (List.rev acc)
-                  else
-                    let* entry_len = u16 buf o in
-                    if entry_len < 44 + Ofmatch.size + 4 then
-                      Error "openflow: flow stats entry too short"
-                    else
-                      let* fs_match = Ofmatch.read buf (o + 4) in
-                      let p = o + 4 + Ofmatch.size in
-                      let* fs_duration_s = u32_int buf p in
-                      let* fs_priority = u16 buf (p + 8) in
-                      let* fs_cookie = u64 buf (p + 20) in
-                      let* fs_packets = u64 buf (p + 28) in
-                      let* fs_bytes = u64 buf (p + 36) in
-                      let* fs_actions =
-                        Action.read_list buf (p + 44) ~limit:(o + entry_len)
-                      in
-                      go (o + entry_len)
-                        ({
-                           fs_match;
-                           fs_priority;
-                           fs_cookie;
-                           fs_packets;
-                           fs_bytes;
-                           fs_duration_s;
-                           fs_actions;
-                         }
-                        :: acc)
-                in
-                let* entries = go (off + 4) [] in
-                Ok (Stats_reply (Flow_stats_rep entries))
-            | 4 ->
-                let rec go o acc =
-                  if o > len then Error "openflow: port stats overrun"
-                  else if o = len then Ok (List.rev acc)
-                  else
-                    let* ps_port = u16 buf o in
-                    let* ps_rx_packets = u64 buf (o + 8) in
-                    let* ps_tx_packets = u64 buf (o + 16) in
-                    let* ps_rx_bytes = u64 buf (o + 24) in
-                    let* ps_tx_bytes = u64 buf (o + 32) in
-                    go (o + 40)
-                      ({ ps_port; ps_rx_packets; ps_tx_packets; ps_rx_bytes; ps_tx_bytes }
-                      :: acc)
-                in
-                let* entries = go (off + 4) [] in
-                Ok (Stats_reply (Port_stats_rep entries))
-            | n -> Error (Printf.sprintf "openflow: stats type %d unsupported" n))
-        | n -> Error (Printf.sprintf "openflow: message type %d unsupported" n)
+let flow_stats_replies entries =
+  let budget = max_message_size - header_size - 4 in
+  let rec parts part size = function
+    | e :: rest when part = [] || size + flow_stats_entry_size e <= budget ->
+        parts (e :: part) (size + flow_stats_entry_size e) rest
+    | rest ->
+        let reply = Flow_stats_rep (List.rev part) in
+        if rest = [] then [ Stats_reply { reply; more = false } ]
+        else Stats_reply { reply; more = true } :: parts [] 0 rest
+  in
+  parts [] 0 entries
+
+(* --- decoding ------------------------------------------------------ *)
+
+(* The readers below raise [Wire.Malformed]; [decode] is their one
+   handler. *)
+
+let rec read_flow_stats buf o len =
+  if o > len then fail "openflow: flow stats overrun"
+  else if o = len then []
+  else begin
+    let entry_len = u16 buf o in
+    if entry_len < 44 + Ofmatch.size + 4 then
+      fail "openflow: flow stats entry too short";
+    let fs_match = Ofmatch.read buf (o + 4) in
+    let p = o + 4 + Ofmatch.size in
+    let fs_duration_s = u32_int buf p in
+    let fs_priority = u16 buf (p + 8) in
+    let fs_cookie = u64 buf (p + 20) in
+    let fs_packets = u64 buf (p + 28) in
+    let fs_bytes = u64 buf (p + 36) in
+    let fs_actions = Action.read_list buf (p + 44) ~limit:(o + entry_len) in
+    let e =
+      {
+        fs_match;
+        fs_priority;
+        fs_cookie;
+        fs_packets;
+        fs_bytes;
+        fs_duration_s;
+        fs_actions;
+      }
+    in
+    e :: read_flow_stats buf (o + entry_len) len
+  end
+
+let rec read_port_stats buf o len =
+  if o > len then fail "openflow: port stats overrun"
+  else if o = len then []
+  else begin
+    let ps_port = u16 buf o in
+    let ps_rx_packets = u64 buf (o + 8) in
+    let ps_tx_packets = u64 buf (o + 16) in
+    let ps_rx_bytes = u64 buf (o + 24) in
+    let ps_tx_bytes = u64 buf (o + 32) in
+    let e = { ps_port; ps_rx_packets; ps_tx_packets; ps_rx_bytes; ps_tx_bytes } in
+    e :: read_port_stats buf (o + 40) len
+  end
+
+let decode_body buf type_ len =
+  let off = header_size in
+  match type_ with
+  | 0 -> Hello
+  | 2 -> Echo_request
+  | 3 -> Echo_reply
+  | 5 -> Features_request
+  | 18 -> Barrier_request
+  | 19 -> Barrier_reply
+  | 6 ->
+      let dpid = u64 buf off in
+      let n_ports = u32_int buf (off + 12) in
+      Features_reply { dpid; n_ports }
+  | 12 ->
+      let pst_reason = u8 buf off in
+      let pst_port = u16 buf (off + 8) in
+      Port_status { pst_reason; pst_port }
+  | 10 ->
+      let buffer_id = u32_int buf off in
+      let total_len = u16 buf (off + 4) in
+      let in_port = u16 buf (off + 6) in
+      let reason = u8 buf (off + 8) in
+      let data = bytes (len - off - 10) buf (off + 10) in
+      Packet_in { buffer_id; total_len; in_port; reason; data }
+  | 13 ->
+      let po_in_port = u16 buf (off + 4) in
+      let actions_len = u16 buf (off + 6) in
+      let data_off = off + 8 + actions_len in
+      let po_actions = Action.read_list buf (off + 8) ~limit:data_off in
+      let po_data = bytes (len - data_off) buf data_off in
+      Packet_out { po_in_port; po_actions; po_data }
+  | 14 ->
+      let match_ = Ofmatch.read buf off in
+      let o = off + Ofmatch.size in
+      let cookie = u64 buf o in
+      let command = command_of_code (u16 buf (o + 8)) in
+      let idle_timeout_s = u16 buf (o + 10) in
+      let hard_timeout_s = u16 buf (o + 12) in
+      let priority = u16 buf (o + 14) in
+      let actions = Action.read_list buf (o + 24) ~limit:len in
+      Flow_mod
+        { match_; cookie; command; idle_timeout_s; hard_timeout_s; priority; actions }
+  | 16 -> (
+      match u16 buf off with
+      | 1 -> Stats_request (Flow_stats_req (Ofmatch.read buf (off + 4)))
+      | 4 -> Stats_request (Port_stats_req (u16 buf (off + 4)))
+      | n -> failf "openflow: stats type %d unsupported" n)
+  | 17 ->
+      let reply =
+        match u16 buf off with
+        | 1 -> Flow_stats_rep (read_flow_stats buf (off + 4) len)
+        | 4 -> Port_stats_rep (read_port_stats buf (off + 4) len)
+        | n -> failf "openflow: stats type %d unsupported" n
       in
-      Ok (msg, xid)
+      (* Flags are read last: a reply too short to hold them fails in
+         the entry parse first, with the same error as before flags
+         were read at all. *)
+      let more = u16 buf (off + 2) land ofpsf_reply_more <> 0 in
+      Stats_reply { reply; more }
+  | n -> failf "openflow: message type %d unsupported" n
+
+let decode_exn buf =
+  let version = u8 buf 0 in
+  if version <> 0x01 then failf "openflow: version 0x%02x" version;
+  let type_ = u8 buf 1 in
+  let len = u16 buf 2 in
+  if len <> Bytes.length buf then fail "openflow: length field mismatch";
+  let xid = u32_int buf 4 in
+  (decode_body buf type_ len, xid)
+
+let decode buf =
+  match decode_exn buf with
+  | r -> Ok r
+  | exception Malformed e -> Error e
 
 let flow_stats_equal a b =
   Ofmatch.equal a.fs_match b.fs_match
@@ -369,10 +382,13 @@ let equal a b =
   | Stats_request (Flow_stats_req x), Stats_request (Flow_stats_req y) ->
       Ofmatch.equal x y
   | Stats_request (Port_stats_req x), Stats_request (Port_stats_req y) -> x = y
-  | Stats_reply (Flow_stats_rep x), Stats_reply (Flow_stats_rep y) ->
-      List.equal flow_stats_equal x y
-  | Stats_reply (Port_stats_rep x), Stats_reply (Port_stats_rep y) ->
-      List.equal ( = ) x y
+  | Stats_reply x, Stats_reply y -> (
+      x.more = y.more
+      &&
+      match (x.reply, y.reply) with
+      | Flow_stats_rep x, Flow_stats_rep y -> List.equal flow_stats_equal x y
+      | Port_stats_rep x, Port_stats_rep y -> List.equal ( = ) x y
+      | (Flow_stats_rep _ | Port_stats_rep _), _ -> false)
   | Port_status x, Port_status y ->
       x.pst_reason = y.pst_reason && x.pst_port = y.pst_port
   | ( ( Hello | Echo_request | Echo_reply | Features_request | Features_reply _
@@ -408,10 +424,12 @@ let pp fmt = function
   | Stats_request (Flow_stats_req _) -> Format.pp_print_string fmt "STATS_REQUEST flow"
   | Stats_request (Port_stats_req p) ->
       Format.fprintf fmt "STATS_REQUEST port=%d" p
-  | Stats_reply (Flow_stats_rep entries) ->
-      Format.fprintf fmt "STATS_REPLY flow n=%d" (List.length entries)
-  | Stats_reply (Port_stats_rep entries) ->
-      Format.fprintf fmt "STATS_REPLY port n=%d" (List.length entries)
+  | Stats_reply { reply = Flow_stats_rep entries; more } ->
+      Format.fprintf fmt "STATS_REPLY flow n=%d%s" (List.length entries)
+        (if more then " more" else "")
+  | Stats_reply { reply = Port_stats_rep entries; more } ->
+      Format.fprintf fmt "STATS_REPLY port n=%d%s" (List.length entries)
+        (if more then " more" else "")
   | Port_status ps ->
       Format.fprintf fmt "PORT_STATUS port=%d %s" ps.pst_port
         (match ps.pst_reason with 0 -> "up" | 1 -> "down" | _ -> "modified")

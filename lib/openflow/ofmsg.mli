@@ -67,13 +67,26 @@ type t =
   | Flow_mod of flow_mod
   | Port_status of port_status
   | Stats_request of stats_request
-  | Stats_reply of stats_reply
+  | Stats_reply of { reply : stats_reply; more : bool }
+      (** [more] is the OFPSF_REPLY_MORE flag: further parts of this
+          reply follow under the same transaction id. *)
   | Barrier_request
   | Barrier_reply
 
+val max_message_size : int
+(** 65,535 bytes: the largest length the 16-bit header field holds. *)
+
 val encode : ?xid:int -> t -> Bytes.t
+(** @raise Invalid_argument if the message exceeds
+    {!max_message_size}. *)
+
 val decode : Bytes.t -> (t * int, string) result
-(** Returns the message and its transaction id. *)
+(** Returns the message and its transaction id. Total: never raises. *)
+
+val flow_stats_replies : flow_stats list -> t list
+(** The flow-stats reply for these entries, split in order into as few
+    parts of at most {!max_message_size} bytes as fit; every part but
+    the last has [more] set. An empty list gives one empty reply. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -181,7 +181,7 @@ let handle t msg xid =
             })
           entries
       in
-      send_xid t xid (Ofmsg.Stats_reply (Ofmsg.Flow_stats_rep stats))
+      List.iter (send_xid t xid) (Ofmsg.flow_stats_replies stats)
   | Ofmsg.Stats_request (Ofmsg.Port_stats_req port) ->
       let wanted =
         if port = 0xFFFF then List.map fst t.port_to_link else [ port ]
@@ -201,7 +201,8 @@ let handle t msg xid =
                 })
           wanted
       in
-      send_xid t xid (Ofmsg.Stats_reply (Ofmsg.Port_stats_rep stats))
+      send_xid t xid
+        (Ofmsg.Stats_reply { reply = Ofmsg.Port_stats_rep stats; more = false })
   | Ofmsg.Features_reply _ | Ofmsg.Packet_in _ | Ofmsg.Stats_reply _
   | Ofmsg.Port_status _ | Ofmsg.Barrier_reply ->
       (* Controller-to-switch direction only; a controller never sends

@@ -79,41 +79,69 @@ let write_lsa buf off l =
     l.links;
   !o
 
-let read_lsa buf off =
-  let* adv_router = ipv4 buf (off + 8) in
-  let* seq = u32_int buf (off + 12) in
-  let* total = u16 buf (off + 18) in
-  let* nlinks = u16 buf (off + 22) in
-  if total <> lsa_header_size + 4 + (link_size * nlinks) then
-    Error "ospf: LSA length inconsistent with link count"
-  else
-    let rec go i acc =
-      if i = nlinks then Ok (List.rev acc)
-      else
-        let o = off + 24 + (i * link_size) in
-        let* link_id = ipv4 buf o in
-        let* link_data = ipv4 buf (o + 4) in
-        let* kind = u8 buf (o + 8) in
-        let* metric = u16 buf (o + 10) in
-        let* link =
-          match kind with
-          | 1 -> Ok (Point_to_point { neighbor = link_id; metric })
-          | 3 ->
-              (* Recover the prefix length from the mask. *)
-              let mask = Ipv4.to_int32 link_data in
-              let rec len_of bits n =
-                if n = 32 then 32
-                else if Int32.logand bits (Int32.shift_left 1l (31 - n)) = 0l
-                then n
-                else len_of bits (n + 1)
-              in
-              Ok (Stub { prefix = Prefix.make link_id (len_of mask 0); metric })
-          | n -> Error (Printf.sprintf "ospf: link type %d unsupported" n)
-        in
-        go (i + 1) (link :: acc)
+(* The readers below raise [Wire.Malformed]; [decode] is their one
+   handler. *)
+
+(* Recover a stub link's prefix length from its mask. *)
+let mask_length mask =
+  let rec len_of n =
+    if n = 32 then 32
+    else if Int32.logand mask (Int32.shift_left 1l (31 - n)) = 0l then n
+    else len_of (n + 1)
+  in
+  len_of 0
+
+let rec read_links buf o n =
+  if n = 0 then []
+  else begin
+    let link_id = ipv4 buf o in
+    let link_data = ipv4 buf (o + 4) in
+    let kind = u8 buf (o + 8) in
+    let metric = u16 buf (o + 10) in
+    let link =
+      match kind with
+      | 1 -> Point_to_point { neighbor = link_id; metric }
+      | 3 ->
+          Stub
+            {
+              prefix =
+                Prefix.make link_id (mask_length (Ipv4.to_int32 link_data));
+              metric;
+            }
+      | n -> failf "ospf: link type %d unsupported" n
     in
-    let* links = go 0 [] in
-    Ok ({ adv_router; seq; links }, off + total)
+    link :: read_links buf (o + link_size) (n - 1)
+  end
+
+let read_lsa buf off =
+  let adv_router = ipv4 buf (off + 8) in
+  let seq = u32_int buf (off + 12) in
+  let total = u16 buf (off + 18) in
+  let nlinks = u16 buf (off + 22) in
+  if total <> lsa_header_size + 4 + (link_size * nlinks) then
+    fail "ospf: LSA length inconsistent with link count";
+  { adv_router; seq; links = read_links buf (off + 24) nlinks }
+
+let rec read_lsas buf o n =
+  if n = 0 then []
+  else
+    let lsa = read_lsa buf o in
+    lsa :: read_lsas buf (o + lsa_size lsa) (n - 1)
+
+(* Counts below are derived from the length field; a negative one
+   reads on until the buffer runs out, and so fails. *)
+let rec read_neighbors buf o n =
+  if n = 0 then []
+  else
+    let nb = ipv4 buf o in
+    nb :: read_neighbors buf (o + 4) (n - 1)
+
+let rec read_acks buf o n =
+  if n = 0 then []
+  else
+    let adv = ipv4 buf (o + 4) in
+    let seq = u32_int buf (o + 12) in
+    (adv, seq) :: read_acks buf (o + lsa_header_size) (n - 1)
 
 let encode ~router_id t =
   let len = header_size + body_size t in
@@ -158,56 +186,32 @@ let encode ~router_id t =
   set_u16 buf 12 (Checksum.of_bytes buf 0 len);
   buf
 
+let decode_exn buf =
+  let version = u8 buf 0 in
+  if version <> 2 then failf "ospf: version %d" version;
+  let len = u16 buf 2 in
+  if len <> Bytes.length buf then fail "ospf: length field mismatch";
+  if not (Checksum.verify buf 0 len) then fail "ospf: bad checksum";
+  let type_ = u8 buf 1 in
+  let router_id = ipv4 buf 4 in
+  let off = header_size in
+  let msg =
+    match type_ with
+    | 1 ->
+        let hello_interval_s = u16 buf (off + 4) in
+        let dead_interval_s = u32_int buf (off + 8) in
+        let neighbors = read_neighbors buf (off + 16) ((len - off - 16) / 4) in
+        Hello { hello_interval_s; dead_interval_s; neighbors }
+    | 4 -> Ls_update (read_lsas buf (off + 4) (u32_int buf off))
+    | 5 -> Ls_ack (read_acks buf off ((len - off) / lsa_header_size))
+    | n -> failf "ospf: packet type %d unsupported" n
+  in
+  (router_id, msg)
+
 let decode buf =
-  let* version = u8 buf 0 in
-  if version <> 2 then Error (Printf.sprintf "ospf: version %d" version)
-  else
-    let* len = u16 buf 2 in
-    if len <> Bytes.length buf then Error "ospf: length field mismatch"
-    else if not (Checksum.verify buf 0 len) then Error "ospf: bad checksum"
-    else
-      let* type_ = u8 buf 1 in
-      let* router_id = ipv4 buf 4 in
-      let off = header_size in
-      let* msg =
-        match type_ with
-        | 1 ->
-            let* hello_interval_s = u16 buf (off + 4) in
-            let* dead_interval_s = u32_int buf (off + 8) in
-            let n_neighbors = (len - off - 16) / 4 in
-            let rec go i acc =
-              if i = n_neighbors then Ok (List.rev acc)
-              else
-                let* n = ipv4 buf (off + 16 + (4 * i)) in
-                go (i + 1) (n :: acc)
-            in
-            let* neighbors = go 0 [] in
-            Ok (Hello { hello_interval_s; dead_interval_s; neighbors })
-        | 4 ->
-            let* n = u32_int buf off in
-            let rec go i o acc =
-              if i = n then Ok (List.rev acc)
-              else
-                let* lsa, o' = read_lsa buf o in
-                go (i + 1) o' (lsa :: acc)
-            in
-            let* lsas = go 0 (off + 4) [] in
-            Ok (Ls_update lsas)
-        | 5 ->
-            let n = (len - off) / lsa_header_size in
-            let rec go i acc =
-              if i = n then Ok (List.rev acc)
-              else
-                let o = off + (i * lsa_header_size) in
-                let* adv = ipv4 buf (o + 4) in
-                let* seq = u32_int buf (o + 12) in
-                go (i + 1) ((adv, seq) :: acc)
-            in
-            let* acks = go 0 [] in
-            Ok (Ls_ack acks)
-        | n -> Error (Printf.sprintf "ospf: packet type %d unsupported" n)
-      in
-      Ok (router_id, msg)
+  match decode_exn buf with
+  | r -> Ok r
+  | exception Malformed e -> Error e
 
 let equal a b =
   match (a, b) with

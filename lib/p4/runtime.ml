@@ -21,19 +21,16 @@ let write_string buf off s =
   Bytes.blit_string s 0 buf (off + 2) (String.length s);
   off + string_size s
 
-let read_string buf off =
-  let* len = u16 buf off in
-  let* b = bytes len buf (off + 2) in
-  Ok (Bytes.to_string b, off + 2 + len)
+let read_string buf off = Bytes.to_string (bytes (u16 buf off) buf (off + 2))
 
 let set_u62 buf off v =
   set_u32_int buf off (v lsr 31);
   set_u32_int buf (off + 4) (v land 0x7FFFFFFF)
 
 let u62 buf off =
-  let* hi = u32_int buf off in
-  let* lo = u32_int buf (off + 4) in
-  Ok ((hi lsl 31) lor lo)
+  let hi = u32_int buf off in
+  let lo = u32_int buf (off + 4) in
+  (hi lsl 31) lor lo
 
 let key_size = 17 (* kind byte + two u62 *)
 
@@ -54,31 +51,32 @@ let write_key buf off k =
   off + key_size
 
 let read_key buf off =
-  let* kind = u8 buf off in
-  let* a = u62 buf (off + 1) in
-  let* b = u62 buf (off + 9) in
-  let* k =
-    match kind with
-    | 0 -> Ok (Interp.K_exact a)
-    | 1 -> Ok (Interp.K_lpm (a, b))
-    | 2 -> Ok (Interp.K_ternary (a, b))
-    | n -> Error (Printf.sprintf "p4runtime: key kind %d" n)
-  in
-  Ok (k, off + key_size)
+  let kind = u8 buf off in
+  let a = u62 buf (off + 1) in
+  let b = u62 buf (off + 9) in
+  match kind with
+  | 0 -> Interp.K_exact a
+  | 1 -> Interp.K_lpm (a, b)
+  | 2 -> Interp.K_ternary (a, b)
+  | n -> failf "p4runtime: key kind %d" n
+
+let key_list_size keys = 2 + (key_size * List.length keys)
 
 let write_key_list buf off keys =
   set_u16 buf off (List.length keys);
   List.fold_left (fun off k -> write_key buf off k) (off + 2) keys
 
-let read_key_list buf off =
-  let* n = u16 buf off in
-  let rec go i off acc =
-    if i = n then Ok (List.rev acc, off)
-    else
-      let* k, off' = read_key buf off in
-      go (i + 1) off' (k :: acc)
-  in
-  go 0 (off + 2) []
+let rec read_keys buf off n =
+  if n = 0 then []
+  else
+    let k = read_key buf off in
+    k :: read_keys buf (off + key_size) (n - 1)
+
+let rec read_u62s buf off n =
+  if n = 0 then []
+  else
+    let v = u62 buf off in
+    v :: read_u62s buf (off + 8) (n - 1)
 
 (* Header: magic 'P4' (2), type (1), xid (4). *)
 let header_size = 7
@@ -92,22 +90,20 @@ let frame type_ xid body_size writer =
   writer buf header_size;
   buf
 
-let check_header buf =
-  let* m0 = u8 buf 0 in
-  let* m1 = u8 buf 1 in
-  if m0 <> Char.code 'P' || m1 <> Char.code '4' then Error "p4runtime: bad magic"
-  else
-    let* type_ = u8 buf 2 in
-    let* xid = u32_int buf 3 in
-    Ok (type_, xid)
+(* The readers above raise [Wire.Malformed]; each [decode_*] is their
+   one handler. *)
+
+let read_header buf =
+  let m0 = u8 buf 0 in
+  let m1 = u8 buf 1 in
+  if m0 <> Char.code 'P' || m1 <> Char.code '4' then fail "p4runtime: bad magic"
 
 let encode_request ~xid = function
   | Hello -> frame 0 xid 0 (fun _ _ -> ())
   | Insert e ->
       let size =
         string_size e.Interp.e_table
-        + 2
-        + (key_size * List.length e.Interp.key)
+        + key_list_size e.Interp.key
         + 4 (* priority *)
         + string_size e.Interp.action
         + 2
@@ -126,43 +122,44 @@ let encode_request ~xid = function
                  off + 8)
                (off + 2) e.Interp.args))
   | Delete { d_table; d_key } ->
-      let size = string_size d_table + 2 + (key_size * List.length d_key) in
+      let size = string_size d_table + key_list_size d_key in
       frame 2 xid size (fun buf off ->
           let off = write_string buf off d_table in
           ignore (write_key_list buf off d_key))
   | Counter_read c ->
       frame 3 xid (string_size c) (fun buf off -> ignore (write_string buf off c))
 
-let decode_request buf =
-  let* type_, xid = check_header buf in
+let decode_request_exn buf =
+  read_header buf;
+  let type_ = u8 buf 2 in
+  let xid = u32_int buf 3 in
   let off = header_size in
-  let* req =
+  let req =
     match type_ with
-    | 0 -> Ok Hello
+    | 0 -> Hello
     | 1 ->
-        let* e_table, off = read_string buf off in
-        let* key, off = read_key_list buf off in
-        let* priority = u32_int buf off in
-        let* action, off = read_string buf (off + 4) in
-        let* n_args = u16 buf off in
-        let rec go i off acc =
-          if i = n_args then Ok (List.rev acc)
-          else
-            let* a = u62 buf off in
-            go (i + 1) (off + 8) (a :: acc)
-        in
-        let* args = go 0 (off + 2) [] in
-        Ok (Insert { Interp.e_table; key; priority; action; args })
+        let e_table = read_string buf off in
+        let off = off + string_size e_table in
+        let key = read_keys buf (off + 2) (u16 buf off) in
+        let off = off + key_list_size key in
+        let priority = u32_int buf off in
+        let action = read_string buf (off + 4) in
+        let off = off + 4 + string_size action in
+        let args = read_u62s buf (off + 2) (u16 buf off) in
+        Insert { Interp.e_table; key; priority; action; args }
     | 2 ->
-        let* d_table, off = read_string buf off in
-        let* d_key, _ = read_key_list buf off in
-        Ok (Delete { d_table; d_key })
-    | 3 ->
-        let* c, _ = read_string buf off in
-        Ok (Counter_read c)
-    | n -> Error (Printf.sprintf "p4runtime: request type %d" n)
+        let d_table = read_string buf off in
+        let off = off + string_size d_table in
+        Delete { d_table; d_key = read_keys buf (off + 2) (u16 buf off) }
+    | 3 -> Counter_read (read_string buf off)
+    | n -> failf "p4runtime: request type %d" n
   in
-  Ok (xid, req)
+  (xid, req)
+
+let decode_request buf =
+  match decode_request_exn buf with
+  | r -> Ok r
+  | exception Malformed e -> Error e
 
 let encode_response ~xid = function
   | Ack -> frame 16 xid 0 (fun _ _ -> ())
@@ -176,22 +173,26 @@ let encode_response ~xid = function
           let off = write_string buf off c in
           set_u62 buf off v)
 
-let decode_response buf =
-  let* type_, xid = check_header buf in
+let decode_response_exn buf =
+  read_header buf;
+  let type_ = u8 buf 2 in
+  let xid = u32_int buf 3 in
   let off = header_size in
-  let* resp =
+  let resp =
     match type_ with
-    | 16 -> Ok Ack
-    | 17 ->
-        let* msg, _ = read_string buf off in
-        Ok (Nack msg)
+    | 16 -> Ack
+    | 17 -> Nack (read_string buf off)
     | 18 ->
-        let* c, off = read_string buf off in
-        let* v = u62 buf off in
-        Ok (Counter_value (c, v))
-    | n -> Error (Printf.sprintf "p4runtime: response type %d" n)
+        let c = read_string buf off in
+        Counter_value (c, u62 buf (off + string_size c))
+    | n -> failf "p4runtime: response type %d" n
   in
-  Ok (xid, resp)
+  (xid, resp)
+
+let decode_response buf =
+  match decode_response_exn buf with
+  | r -> Ok r
+  | exception Malformed e -> Error e
 
 let request_equal a b =
   match (a, b) with

@@ -5,6 +5,10 @@
    degrade back toward one prefix per message this exits non-zero and
    fails @bench-smoke (and @runtest with it).
 
+   It also gates decoder allocation: a fixed mix of small UPDATEs, the
+   kind a fat-tree exchanges, is decoded repeatedly and the minor words
+   per message must stay within [decode_words_budget].
+
    Writes the run's full telemetry snapshot to the path given as
    argv(1), in the same JSON shape as results/BENCH_*.json. *)
 
@@ -24,6 +28,38 @@ let leaf_prefix l j =
     (Ipv4.of_int32
        (Int32.of_int (0x0A000000 lor (((l * prefixes_per_leaf) + j) lsl 8))))
     24
+
+(* Minor words per decoded UPDATE of [update_mix]: twice the 40 that
+   the direct-style decoder measures. A decoder that allocates per
+   byte read (a [result] and a closure each) measures 555 and fails. *)
+let decode_words_budget = 80.0
+let decode_passes = 50
+
+(* 200 UPDATEs: announcements of 1-4 prefixes with 2-3 hop AS_PATHs
+   and some optional attributes, and withdrawals of 1-3 prefixes. *)
+let update_mix () =
+  List.concat_map
+    (fun i ->
+      let p j = leaf_prefix (i mod leaves) ((i + j) mod prefixes_per_leaf) in
+      let attrs =
+        {
+          Msg.origin = Msg.Igp;
+          as_path = List.init (2 + (i mod 2)) (fun h -> 64500 + ((i + h) mod 8));
+          next_hop = Ipv4.of_octets 10 255 0 (1 + (i mod 200));
+          med = (if i mod 3 = 0 then Some (10 * i) else None);
+          local_pref = (if i mod 5 = 0 then Some 100 else None);
+          communities =
+            (if i mod 7 = 0 then [ Msg.community ~asn:64500 i ] else []);
+        }
+      in
+      [
+        Msg.encode
+          (Msg.Update
+             { withdrawn = []; reach = Some (attrs, List.init (1 + (i mod 4)) p) });
+        Msg.encode
+          (Msg.Update { withdrawn = List.init (1 + (i mod 3)) p; reach = None });
+      ])
+    (List.init 100 Fun.id)
 
 let () =
   let out = Sys.argv.(1) in
@@ -91,11 +127,31 @@ let () =
     (Horse_telemetry.Json.to_string (Horse_telemetry.Export.json reg));
   output_char oc '\n';
   close_out oc;
+  let msgs = Array.of_list (update_mix ()) in
+  let decode_all () =
+    Array.iter
+      (fun bytes ->
+        match Msg.decode bytes with
+        | Ok (Msg.Update _) -> ()
+        | Ok _ | Error _ ->
+            Printf.eprintf "bgp-smoke: an UPDATE of the mix failed to decode\n";
+            exit 1)
+      msgs
+  in
+  decode_all ();
+  let before = Gc.minor_words () in
+  for _ = 1 to decode_passes do
+    decode_all ()
+  done;
+  let words_per_decode =
+    (Gc.minor_words () -. before)
+    /. float_of_int (decode_passes * max 1 (Array.length msgs))
+  in
   let ratio = float_of_int prefixes /. float_of_int (max 1 updates) in
   Printf.printf
     "bgp-smoke: %d prefixes announced in %d UPDATEs (%.1f per message), %d \
-     intern hits\n"
-    prefixes updates ratio intern_hits;
+     intern hits, %.1f minor words per decoded UPDATE (%d messages)\n"
+    prefixes updates ratio intern_hits words_per_decode (Array.length msgs);
   if updates = 0 || prefixes < total then begin
     Printf.eprintf "bgp-smoke: implausible counters (updates=%d, prefixes=%d)\n"
       updates prefixes;
@@ -108,6 +164,13 @@ let () =
       "bgp-smoke: packing budget exceeded: %d prefixes over %d UPDATEs \
        (want >= 8 per message)\n"
       prefixes updates;
+    exit 1
+  end;
+  if words_per_decode > decode_words_budget then begin
+    Printf.eprintf
+      "bgp-smoke: decode allocation budget exceeded: %.1f minor words per \
+       UPDATE over %d messages (want <= %.0f)\n"
+      words_per_decode (Array.length msgs) decode_words_budget;
     exit 1
   end;
   (* Hash-consing must be doing work: repeated attribute records

@@ -75,6 +75,92 @@ let prop_msg_decode_total_mutated =
         Bytes.set_uint8 buf (pos mod Bytes.length buf) v;
       match Msg.decode buf with Ok _ | Error _ -> true)
 
+(* Differential oracle: the Result-style decoder that the direct-style
+   one replaced must agree on every input, with equal values or the
+   same error. *)
+let agrees_with_oracle buf =
+  match (Msg.decode buf, Horse_oracle.Bgp_oracle.decode buf) with
+  | Ok v, Ok v' -> Msg.equal v v'
+  | Error e, Error e' -> String.equal e e'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* A valid header (marker, length, type 1-4) over random body bytes,
+   so the body decoders see garbage rather than the marker check. *)
+let gen_framed_body =
+  let open QCheck2.Gen in
+  let* type_ = int_range 1 4 in
+  let* body = string_size (int_range 0 80) in
+  let buf = Bytes.make (Msg.header_size + String.length body) '\xff' in
+  Bytes.set_uint16_be buf 16 (Bytes.length buf);
+  Bytes.set_uint8 buf 18 type_;
+  Bytes.blit_string body 0 buf Msg.header_size (String.length body);
+  return buf
+
+(* One to three edits of an encoded message: a byte set to a random
+   value, or nudged by -2..2 so that length fields land just either
+   side of their bounds. *)
+let gen_mutated gen encode =
+  let open QCheck2.Gen in
+  let* m = gen in
+  let* edits =
+    list_size (int_range 1 3) (triple (int_bound 300) (int_bound 255) bool)
+  in
+  let buf = encode m in
+  List.iter
+    (fun (pos, v, nudge) ->
+      let i = pos mod Bytes.length buf in
+      Bytes.set_uint8 buf i
+        ((if nudge then Bytes.get_uint8 buf i + (v mod 5) - 2 else v) land 0xFF))
+    edits;
+  return buf
+
+let prop_msg_oracle_encoded =
+  qtest ~count:500 "bgp msg: decoder agrees with oracle on encoded messages"
+    gen_msg (fun m -> agrees_with_oracle (Msg.encode m))
+
+let prop_msg_oracle_arbitrary =
+  qtest ~count:500 "bgp msg: decoder agrees with oracle on arbitrary bytes"
+    QCheck2.Gen.(
+      oneof
+        [ map Bytes.of_string (string_size (int_range 0 100)); gen_framed_body ])
+    agrees_with_oracle
+
+let prop_msg_oracle_mutated =
+  qtest ~count:3000 "bgp msg: decoder agrees with oracle on mutated messages"
+    (gen_mutated gen_msg Msg.encode) agrees_with_oracle
+
+(* AS_PATHs of 127 or more ASNs take an attribute payload past 255
+   bytes, which needs the Extended Length form; 126 is the last that
+   fits one length byte. Both encoders must round-trip them. *)
+let test_long_as_path_roundtrip () =
+  List.iter
+    (fun n ->
+      let attrs =
+        {
+          Msg.origin = Msg.Igp;
+          as_path = List.init n (fun i -> 64512 + i);
+          next_hop = ip "10.0.0.1";
+          med = Some 5;
+          local_pref = None;
+          communities = [ Msg.community ~asn:65000 1 ];
+        }
+      in
+      let nlri = [ p "10.1.0.0/16"; p "10.2.3.0/24" ] in
+      let m = Msg.Update { withdrawn = [ p "10.9.0.0/16" ]; reach = Some (attrs, nlri) } in
+      (match Msg.decode (Msg.encode m) with
+      | Ok m' ->
+          check Alcotest.bool (Printf.sprintf "encode, %d ASNs" n) true (Msg.equal m m')
+      | Error e -> Alcotest.failf "encode, %d ASNs: %s" n e);
+      match Msg.Packer.pack (Msg.Packer.create ()) ~reach:(attrs, nlri) () with
+      | [ packed ] -> (
+          match Msg.decode packed.Msg.bytes with
+          | Ok m' ->
+              check Alcotest.bool (Printf.sprintf "pack, %d ASNs" n) true
+                (Msg.equal (Msg.Update { withdrawn = []; reach = Some (attrs, nlri) }) m')
+          | Error e -> Alcotest.failf "pack, %d ASNs: %s" n e)
+      | l -> Alcotest.failf "pack, %d ASNs: %d messages" n (List.length l))
+    [ 126; 127; 200; 255 ]
+
 let test_msg_header_layout () =
   let buf = Msg.encode Msg.Keepalive in
   check Alcotest.int "keepalive is 19 bytes" 19 (Bytes.length buf);
@@ -964,6 +1050,11 @@ let () =
           prop_msg_roundtrip;
           prop_msg_decode_total;
           prop_msg_decode_total_mutated;
+          prop_msg_oracle_encoded;
+          prop_msg_oracle_arbitrary;
+          prop_msg_oracle_mutated;
+          Alcotest.test_case "long AS_PATH roundtrip" `Quick
+            test_long_as_path_roundtrip;
           prop_packer_roundtrip;
           Alcotest.test_case "packer splits at 4096" `Quick
             test_packer_split_over_4096;

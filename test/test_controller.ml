@@ -80,6 +80,43 @@ let test_stats_correlation () =
         (List.exists (fun e -> e.Ofmsg.ps_tx_bytes = 2000) entries)
   | _ -> Alcotest.fail "missing port stats"
 
+(* 800 flow entries encode to a 70,412-byte reply, past the 16-bit
+   length field: the switch splits it into OFPSF_REPLY_MORE parts and
+   the controller hands the whole list to the callback once. *)
+let test_flow_stats_reply_split () =
+  let rig = make_rig ~dpids_ports:[ (1, [ (1, 10) ]) ] in
+  let agent = List.hd rig.agents in
+  let n = 800 in
+  for i = 0 to n - 1 do
+    Flow_table.apply_flow_mod (Switch.table agent) ~now:Time.zero
+      {
+        Ofmsg.match_ =
+          Ofmatch.to_dst
+            (Prefix.host (Ipv4.of_int32 (Int32.of_int (0x0A000000 + i))));
+        cookie = i;
+        command = Ofmsg.Add;
+        idle_timeout_s = 0;
+        hard_timeout_s = 0;
+        priority = 1;
+        actions = [];
+      }
+  done;
+  let replies = ref [] in
+  ignore (Sched.run ~until:(Time.of_ms 20) rig.sched);
+  let sw = Option.get (Controller.switch_by_dpid rig.ctrl 1) in
+  ignore
+    (Sched.schedule_at rig.sched (Time.of_ms 30) (fun () ->
+         Controller.request_flow_stats rig.ctrl sw (fun entries ->
+             replies := entries :: !replies)));
+  ignore (Sched.run ~until:(Time.of_ms 200) rig.sched);
+  match !replies with
+  | [ entries ] ->
+      check Alcotest.int "all entries" n (List.length entries);
+      check (Alcotest.list Alcotest.int) "every cookie once"
+        (List.init n Fun.id)
+        (List.sort compare (List.map (fun e -> e.Ofmsg.fs_cookie) entries))
+  | l -> Alcotest.failf "expected one flow-stats callback, got %d" (List.length l)
+
 let test_flow_mod_reaches_switch () =
   let rig = make_rig ~dpids_ports:[ (1, [ (1, 10) ]) ] in
   ignore (Sched.run ~until:(Time.of_ms 20) rig.sched);
@@ -408,6 +445,8 @@ let () =
           Alcotest.test_case "handshake" `Quick test_handshake_and_lookup;
           Alcotest.test_case "stats correlation" `Quick test_stats_correlation;
           Alcotest.test_case "flow mod delivery" `Quick test_flow_mod_reaches_switch;
+          Alcotest.test_case "flow stats reply over 64 KiB" `Quick
+            test_flow_stats_reply_split;
         ] );
       ( "demand",
         [

@@ -81,8 +81,8 @@ let prop_match_codec_roundtrip =
       let buf = Bytes.make Ofmatch.size '\000' in
       Ofmatch.write buf 0 m;
       match Ofmatch.read buf 0 with
-      | Ok m' -> Ofmatch.equal m m'
-      | Error _ -> false)
+      | m' -> Ofmatch.equal m m'
+      | exception Wire.Malformed _ -> false)
 
 let prop_match_exact_key_matches =
   let gen_key =
@@ -301,7 +301,8 @@ let gen_msg =
                 fs_actions;
               })
        in
-       return (Ofmsg.Stats_reply (Ofmsg.Flow_stats_rep entries)));
+       let* more = bool in
+       return (Ofmsg.Stats_reply { reply = Ofmsg.Flow_stats_rep entries; more }));
       (let* entries =
          list_size (int_range 0 6)
            (let* ps_port = int_range 1 48 in
@@ -318,7 +319,8 @@ let gen_msg =
                 ps_tx_bytes = d;
               })
        in
-       return (Ofmsg.Stats_reply (Ofmsg.Port_stats_rep entries)));
+       let* more = bool in
+       return (Ofmsg.Stats_reply { reply = Ofmsg.Port_stats_rep entries; more }));
     ]
 
 let prop_ofmsg_roundtrip =
@@ -343,12 +345,110 @@ let prop_ofmsg_decode_total_mutated =
         Bytes.set_uint8 buf (pos mod Bytes.length buf) v;
       match Ofmsg.decode buf with Ok _ | Error _ -> true)
 
+(* Differential oracle: the Result-style decoder that the direct-style
+   one replaced must agree on every input, with equal values and xids
+   or the same error. *)
+let agrees_with_oracle buf =
+  match (Ofmsg.decode buf, Horse_oracle.Ofmsg_oracle.decode buf) with
+  | Ok (v, xid), Ok (v', xid') -> Ofmsg.equal v v' && xid = xid'
+  | Error e, Error e' -> String.equal e e'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* A valid header (version, type, length) over random body bytes, so
+   the body decoders see garbage rather than the header checks. *)
+let gen_framed_body =
+  let open QCheck2.Gen in
+  let* type_ = oneofl [ 0; 2; 3; 5; 6; 10; 12; 13; 14; 16; 17; 18; 19 ] in
+  let* body = string_size (int_range 0 200) in
+  let buf = Bytes.make (8 + String.length body) '\000' in
+  Bytes.set_uint8 buf 0 0x01;
+  Bytes.set_uint8 buf 1 type_;
+  Bytes.set_uint16_be buf 2 (Bytes.length buf);
+  Bytes.blit_string body 0 buf 8 (String.length body);
+  return buf
+
+(* One to three edits of an encoded message: a byte set to a random
+   value, or nudged by -2..2 so that length fields land just either
+   side of their bounds. *)
+let gen_mutated =
+  let open QCheck2.Gen in
+  let* m = gen_msg in
+  let* edits =
+    list_size (int_range 1 3) (triple (int_bound 300) (int_bound 255) bool)
+  in
+  let buf = Ofmsg.encode m in
+  List.iter
+    (fun (pos, v, nudge) ->
+      let i = pos mod Bytes.length buf in
+      Bytes.set_uint8 buf i
+        ((if nudge then Bytes.get_uint8 buf i + (v mod 5) - 2 else v) land 0xFF))
+    edits;
+  return buf
+
+let prop_ofmsg_oracle_encoded =
+  qtest ~count:500 "ofmsg: decoder agrees with oracle on encoded messages"
+    (QCheck2.Gen.pair gen_msg (QCheck2.Gen.int_bound 0xFFFF))
+    (fun (m, xid) -> agrees_with_oracle (Ofmsg.encode ~xid m))
+
+let prop_ofmsg_oracle_arbitrary =
+  qtest ~count:500 "ofmsg: decoder agrees with oracle on arbitrary bytes"
+    QCheck2.Gen.(
+      oneof
+        [ map Bytes.of_string (string_size (int_range 0 120)); gen_framed_body ])
+    agrees_with_oracle
+
+let prop_ofmsg_oracle_mutated =
+  qtest ~count:3000 "ofmsg: decoder agrees with oracle on mutated messages"
+    gen_mutated agrees_with_oracle
+
 let test_ofmsg_header () =
   let buf = Ofmsg.encode ~xid:0xABCD Ofmsg.Hello in
   check Alcotest.int "version 1.0" 0x01 (Bytes.get_uint8 buf 0);
   check Alcotest.int "type hello" 0 (Bytes.get_uint8 buf 1);
   check Alcotest.int "length" 8 (Bytes.get_uint16_be buf 2);
   check Alcotest.int "xid" 0xABCD (Int32.to_int (Bytes.get_int32_be buf 4))
+
+(* An 800-entry flow-stats reply is 70,412 bytes: one message would
+   wrap the 16-bit length field, so [encode] refuses it and
+   [flow_stats_replies] splits it at 65,535 bytes. *)
+let test_ofmsg_length_limit () =
+  let entry i =
+    {
+      Ofmsg.fs_match = Ofmatch.any;
+      fs_priority = 1;
+      fs_cookie = i;
+      fs_packets = 0;
+      fs_bytes = 0;
+      fs_duration_s = 0;
+      fs_actions = [];
+    }
+  in
+  let entries = List.init 800 entry in
+  (match
+     Ofmsg.encode
+       (Ofmsg.Stats_reply { reply = Ofmsg.Flow_stats_rep entries; more = false })
+   with
+  | _ -> Alcotest.fail "a 70,412-byte message was encoded"
+  | exception Invalid_argument _ -> ());
+  let parts = Ofmsg.flow_stats_replies entries in
+  let decoded =
+    List.map
+      (fun m ->
+        let buf = Ofmsg.encode m in
+        check Alcotest.bool "part fits" true (Bytes.length buf <= Ofmsg.max_message_size);
+        match Ofmsg.decode buf with
+        | Ok (Ofmsg.Stats_reply { reply = Ofmsg.Flow_stats_rep es; more }, _) ->
+            (more, List.map (fun e -> e.Ofmsg.fs_cookie) es)
+        | Ok _ | Error _ -> Alcotest.fail "part does not decode")
+      parts
+  in
+  check (Alcotest.list Alcotest.bool) "more on all but the last" [ true; false ]
+    (List.map fst decoded);
+  check (Alcotest.list Alcotest.int) "entries in order" (List.init 800 Fun.id)
+    (List.concat_map snd decoded);
+  match Ofmsg.flow_stats_replies [] with
+  | [ Ofmsg.Stats_reply { reply = Ofmsg.Flow_stats_rep []; more = false } ] -> ()
+  | _ -> Alcotest.fail "empty reply"
 
 (* --- Flow table ------------------------------------------------------------ *)
 
@@ -739,7 +839,7 @@ let test_switch_packet_in_and_stats () =
     List.exists
       (fun (m, xid) ->
         match m with
-        | Ofmsg.Stats_reply (Ofmsg.Flow_stats_rep [ fs ]) ->
+        | Ofmsg.Stats_reply { reply = Ofmsg.Flow_stats_rep [ fs ]; more = false } ->
             xid = 9 && fs.Ofmsg.fs_bytes = 4096 && fs.Ofmsg.fs_packets = 3
         | _ -> false)
       !inbox
@@ -825,9 +925,14 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "header" `Quick test_ofmsg_header;
+          Alcotest.test_case "length limit and split replies" `Quick
+            test_ofmsg_length_limit;
           prop_ofmsg_roundtrip;
           prop_ofmsg_decode_total;
           prop_ofmsg_decode_total_mutated;
+          prop_ofmsg_oracle_encoded;
+          prop_ofmsg_oracle_arbitrary;
+          prop_ofmsg_oracle_mutated;
         ] );
       ( "flow_table",
         [
