@@ -668,137 +668,17 @@ let fct () =
     "done" "p50(ms)" "p99(ms)" "slow-p50" "slow-p99";
   ignore (run "src-dst" Flow_key.hash_src_dst);
   let fcts5 = run "5-tuple" Flow_key.hash_5tuple in
-  let hist = Horse_stats.Histogram.create_log ~lo:1e-4 ~hi:100.0 () in
-  Horse_stats.Histogram.add_list hist fcts5;
+  let hist = Horse_telemetry.Histogram.create_log ~lo:1e-4 ~hi:100.0 () in
+  Horse_telemetry.Histogram.add_list hist fcts5;
   Format.fprintf fmt "@.FCT distribution, 5-tuple hashing (seconds):@.%a"
-    Horse_stats.Histogram.pp hist;
+    Horse_telemetry.Histogram.pp hist;
   Format.fprintf fmt
     "@.shape check: 5-tuple hashing reduces tail FCT inflation versus \
      src/dst hashing (fewer persistent collisions)@."
 
 (* ------------------------------------------------------------------ *)
-(* CHURN: flow-churn storm — recompute coalescing and indexed state    *)
-(* ------------------------------------------------------------------ *)
-
-(* Upper-bound percentile estimate from a telemetry histogram's
-   cumulative bucket counts. *)
-let histogram_percentile h p =
-  let total = Horse_telemetry.Histogram.count h in
-  if total = 0 then 0.0
-  else
-    let target =
-      max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int total)))
-    in
-    let rec go last = function
-      | [] -> last
-      | (ub, c) :: rest ->
-          if c >= target then ub
-          else go (if Float.is_finite ub then ub else last) rest
-    in
-    go 0.0 (Horse_telemetry.Histogram.cumulative h)
-
-let run_churn ~eager ~k ~n_flows ~batch =
-  let ft = Fat_tree.build ~k () in
-  let sched = Sched.create () in
-  let fluid = Horse_dataplane.Fluid.create ~eager sched ft.Fat_tree.topo in
-  let rng = Rng.create 4242 in
-  let hosts = ft.Fat_tree.hosts in
-  let n_hosts = Array.length hosts in
-  let dsts = Rng.derangement rng n_hosts in
-  let paths =
-    Array.mapi
-      (fun i (h : Topology.node) ->
-        let t = Spf.shortest_tree ft.Fat_tree.topo ~src:h.Topology.id in
-        match
-          Spf.first_path t ft.Fat_tree.topo ~dst:hosts.(dsts.(i)).Topology.id
-        with
-        | Some p -> p
-        | None -> failwith "churn: no path in fat-tree")
-      hosts
-  in
-  (* Light per-flow demand so the storm stays demand-limited: every
-     flow of a batch then finishes exactly [size/demand] after its
-     batched start, so completions arrive in bursts too and the
-     coalescing ratio reflects both edges of the flow lifetime. *)
-  let demand = 2e6 and size_bits = 20e6 in
-  let completed = ref 0 in
-  let batches = (n_flows + batch - 1) / batch in
-  for b = 0 to batches - 1 do
-    ignore
-      (Sched.schedule_at sched
-         (Time.of_ms (10 * b))
-         (fun () ->
-           for j = 0 to batch - 1 do
-             let idx = (b * batch) + j in
-             if idx < n_flows then begin
-               let src = idx mod n_hosts in
-               let key =
-                 Flow_key.make
-                   ~src:(Fat_tree.host_ip ft src)
-                   ~dst:(Fat_tree.host_ip ft dsts.(src))
-                   ~src_port:(10_000 + (idx / n_hosts))
-                   ~dst_port:20_000 ()
-               in
-               ignore
-                 (Horse_dataplane.Fluid.start_finite_flow ~demand fluid ~key
-                    ~path:paths.(src) ~size_bits ~on_complete:(fun _ ->
-                      incr completed))
-             end
-           done))
-  done;
-  let _stats, wall = Wall.time (fun () -> Sched.run sched) in
-  (sched, fluid, wall, !completed)
-
-let churn ~full =
-  section
-    "CHURN — arrival storm of finite flows: recompute coalescing vs the eager \
-     engine";
-  let k = if full then 8 else 4 in
-  let n_flows = if full then 5000 else 1000 in
-  let batch = 10 in
-  Format.fprintf fmt
-    "fat-tree k=%d, %d finite flows (%d-flow batches every 10 ms, 2 Mbps \
-     demand, 20 Mbit each)@.@."
-    k n_flows batch;
-  Format.fprintf fmt "%-10s %10s %10s %9s %12s %12s %14s@." "engine" "requests"
-    "solves" "ratio" "wall(ms)" "solves/sec" "p99 solve(us)";
-  let report name (sched, fluid, wall, completed) =
-    let reqs = Horse_dataplane.Fluid.recompute_requests fluid in
-    let solves = Horse_dataplane.Fluid.recompute_count fluid in
-    let p99 =
-      match
-        Horse_telemetry.Registry.find_histogram (Sched.registry sched)
-          "horse_fluid_recompute_wall_seconds"
-      with
-      | Some h -> histogram_percentile h 99.0
-      | None -> 0.0
-    in
-    if completed <> n_flows then
-      Format.fprintf fmt "WARNING: only %d/%d flows completed@." completed
-        n_flows;
-    Format.fprintf fmt "%-10s %10d %10d %8.1fx %12.2f %12.0f %14.1f@." name
-      reqs solves
-      (float_of_int reqs /. float_of_int (max 1 solves))
-      (wall *. 1e3)
-      (float_of_int solves /. Float.max 1e-9 wall)
-      (1e6 *. p99);
-    solves
-  in
-  let eager_solves = report "eager" (run_churn ~eager:true ~k ~n_flows ~batch) in
-  let ((sched_c, _, _, _) as coalesced) =
-    run_churn ~eager:false ~k ~n_flows ~batch
-  in
-  let coalesced_solves = report "coalesced" coalesced in
-  Format.fprintf fmt "@.solve reduction: %.1fx@."
-    (float_of_int eager_solves /. float_of_int (max 1 coalesced_solves));
-  write_snapshot "churn" (Sched.registry sched_c);
-  Format.fprintf fmt
-    "@.shape check: both counters equal per-engine requests; the coalesced \
-     engine pays >=5x fewer solves for the same storm@."
-
-(* ------------------------------------------------------------------ *)
 (* MEGAUSER: million-user fluid workloads — the delta fair-share       *)
-(* solver vs component recompute on the CDN/anycast WAN scenario       *)
+(* solver on the CDN/anycast WAN scenario                              *)
 (* ------------------------------------------------------------------ *)
 
 let megauser_run_json (r : Scenario.megauser_result) =
@@ -844,24 +724,20 @@ let megauser_run_json (r : Scenario.megauser_result) =
 
 let megauser ~full =
   section
-    "MEGAUSER — million-user CDN workload: delta fair-share solver vs \
-     component recompute";
+    "MEGAUSER — million-user CDN workload through the delta fair-share \
+     solver";
   let module Json = Horse_telemetry.Json in
   let duration = Time.of_sec 20.0 in
   let ticks = 24 in
-  let run ?wan ?sites ~solver ~eager ~classes ~users () =
-    Scenario.run_wan_megauser ?wan ?sites ~solver ~eager ~classes ~users
-      ~ticks ~duration ()
+  let run ?wan ?sites ~classes ~users () =
+    Scenario.run_wan_megauser ?wan ?sites ~classes ~users ~ticks ~duration ()
   in
-  (* A/B on Abilene at one scale: the same event schedule through the
-     delta solver, the coalescing component solver, and (at a size
-     where its quadratic setup stays sane) the eager per-event
-     component recompute. *)
+  (* Abilene at one scale; the component-work comparison lives in
+     @megauser-smoke, which computes it in test code. *)
   let ab_classes = if full then 20_000 else 5_000 in
   let ab_users = ab_classes * 50 in
-  let eager_classes = if full then 5_000 else 2_500 in
   Format.fprintf fmt
-    "A/B on Abilene: %d peak classes, %d users, %d ticks over %.0fs@.@."
+    "Abilene: %d peak classes, %d users, %d ticks over %.0fs@.@."
     ab_classes ab_users ticks (Time.to_sec duration);
   Format.fprintf fmt "%-22s %9s %9s %12s %14s %12s@." "engine" "classes"
     "events" "work" "work/event" "wall(s)";
@@ -874,39 +750,8 @@ let megauser ~full =
     r
   in
   let d_ab =
-    report "delta"
-      (run ~solver:Horse_dataplane.Fluid.Delta ~eager:false ~classes:ab_classes
-         ~users:ab_users ())
+    report "delta" (run ~classes:ab_classes ~users:ab_users ())
   in
-  let c_ab =
-    report "component"
-      (run ~solver:Horse_dataplane.Fluid.Component ~eager:false
-         ~classes:ab_classes ~users:ab_users ())
-  in
-  let e_ab =
-    report
-      (Printf.sprintf "eager (at %d)" eager_classes)
-      (run ~solver:Horse_dataplane.Fluid.Component ~eager:true
-         ~classes:eager_classes ~users:(eager_classes * 50) ())
-  in
-  let work_reduction =
-    float_of_int c_ab.Scenario.mu_solve_work
-    /. float_of_int (max 1 d_ab.Scenario.mu_solve_work)
-  in
-  (* Scoped and full water-fills sum member rates in different orders,
-     so delivered bits agree to rounding, not bit-for-bit. *)
-  let delivered_rel_err =
-    abs_float
-      (d_ab.Scenario.mu_delivered_bits -. c_ab.Scenario.mu_delivered_bits)
-    /. Float.max 1.0 (abs_float c_ab.Scenario.mu_delivered_bits)
-  in
-  let delivered_equal = delivered_rel_err <= 1e-9 in
-  Format.fprintf fmt
-    "@.solve-work reduction delta vs component: %.1fx; delivered bits %s \
-     (rel err %.2e)@."
-    work_reduction
-    (if delivered_equal then "MATCH (<= 1e-9 relative)" else "DIVERGED")
-    delivered_rel_err;
   (* Scaling sweep: the WAN footprint grows with the user base (as a
      CDN's does), per-city intensity held constant. Per-event solve
      work staying flat while total flow classes double is the
@@ -932,8 +777,7 @@ let megauser ~full =
               max 3 (cities / 8) )
         in
         let r =
-          run ?wan ~sites ~solver:Horse_dataplane.Fluid.Delta ~eager:false
-            ~classes ~users:(classes * 40) ()
+          run ?wan ~sites ~classes ~users:(classes * 40) ()
         in
         Format.fprintf fmt "%9d %7d %9d %10d %9d %12d %14.1f %10.3f@." classes
           r.Scenario.mu_cities r.Scenario.mu_classes_peak
@@ -960,11 +804,6 @@ let megauser ~full =
       @ env_fields ()
       @ [
           ("delta", megauser_run_json d_ab);
-          ("component", megauser_run_json c_ab);
-          ("eager_component", megauser_run_json e_ab);
-          ("work_reduction_vs_component", Json.Float work_reduction);
-          ("delivered_bits_match", Json.Bool delivered_equal);
-          ("delivered_bits_rel_err", Json.Float delivered_rel_err);
           ( "scaling",
             Json.List
               (List.map
@@ -985,12 +824,10 @@ let megauser ~full =
   close_out oc;
   Format.fprintf fmt "@.artifact written to %s@." path;
   Format.fprintf fmt
-    "@.shape check: the delta solver does >=5x less solve work than \
-     component recompute for the same schedule with matching delivered \
-     bits, and per-event work stays flat as classes double@."
+    "@.shape check: per-event solve work stays flat as classes double@."
 
 (* ------------------------------------------------------------------ *)
-(* BGP-SCALE: update groups + packed UPDATEs vs the legacy speaker     *)
+(* BGP-SCALE: table transfer with update groups + packed UPDATEs      *)
 (* ------------------------------------------------------------------ *)
 
 module Speaker = Horse_bgp.Speaker
@@ -1011,7 +848,7 @@ type bgp_scale_outcome = {
    originates [prefixes_per] /24s, leaves peer with every spine.  The
    long hold time keeps keepalive processing out of the measurement
    window — the workload is pure table transfer and propagation. *)
-let run_bgp_scale ~packing ~spines ~leaves ~prefixes_per ~horizon () =
+let run_bgp_scale ~spines ~leaves ~prefixes_per ~horizon () =
   let sched = Sched.create () in
   let n_routers = spines + leaves in
   let total = n_routers * prefixes_per in
@@ -1031,7 +868,6 @@ let run_bgp_scale ~packing ~spines ~leaves ~prefixes_per ~horizon () =
         with
         Speaker.networks = router_prefixes idx;
         hold_time = Time.of_sec 3600.0;
-        packing;
       }
   in
   let spine_arr =
@@ -1091,7 +927,7 @@ let run_bgp_scale ~packing ~spines ~leaves ~prefixes_per ~horizon () =
 let bgp_scale ~full =
   section
     "BGP-SCALE — control-plane table transfer: update groups + packed \
-     UPDATEs vs the legacy per-prefix speaker";
+     UPDATEs";
   let spines, leaves, prefixes_per, horizon =
     if full then (4, 30, 400, Time.of_sec 600.0)
     else (2, 14, 200, Time.of_sec 120.0)
@@ -1113,20 +949,15 @@ let bgp_scale ~full =
       | None -> "horizon")
       (o.bs_wall *. 1e3)
   in
-  let packed = run_bgp_scale ~packing:true ~spines ~leaves ~prefixes_per ~horizon () in
+  let packed = run_bgp_scale ~spines ~leaves ~prefixes_per ~horizon () in
   report "packed" packed;
-  let legacy = run_bgp_scale ~packing:false ~spines ~leaves ~prefixes_per ~horizon () in
-  report "legacy" legacy;
   Format.fprintf fmt
     "@.update groups per spine: %d (one per distinct export policy, %d peers)@."
     packed.bs_groups leaves;
-  Format.fprintf fmt "speedup: %.1fx wall, %.1fx fewer UPDATE messages@."
-    (legacy.bs_wall /. Float.max 1e-9 packed.bs_wall)
-    (float_of_int legacy.bs_updates /. float_of_int (max 1 packed.bs_updates));
   write_snapshot "bgp_scale" packed.bs_registry;
   Format.fprintf fmt
-    "@.shape check: same converged tables, >=8 prefixes per packed UPDATE, \
-     packed wall and message counts well under legacy@."
+    "@.shape check: every table converges within the horizon, >=8 prefixes \
+     per packed UPDATE@."
 
 (* ------------------------------------------------------------------ *)
 (* FAILURE-STORM: the fault plane A/B — clean run vs a deterministic  *)
@@ -1292,148 +1123,7 @@ let failure_storm ~full =
      the final FIBs bit-for-bit@."
 
 (* ------------------------------------------------------------------ *)
-(* SCHED-STORM: the scheduler fast path A/B — timing-wheel timers,    *)
-(* demand-driven pollers and FTI fast-forward against the eager loop, *)
-(* on the fault-storm workload (bursts of control activity separated  *)
-(* by quiet FTI windows — exactly where the fast path must win).      *)
-(* ------------------------------------------------------------------ *)
-
-let sched_storm ~full =
-  section
-    "SCHED-STORM — scheduler fast path (wheel + wake hints + fast-forward) \
-     vs the eager loop";
-  let module Plan = Horse_faults.Plan in
-  let pods = 4 in
-  let duration = if full then Time.of_sec 60.0 else Time.of_sec 30.0 in
-  let ft = Fat_tree.build ~k:pods () in
-  let is_switch (n : Topology.node) =
-    match n.Topology.kind with
-    | Topology.Switch | Topology.Router -> true
-    | Topology.Host -> false
-  in
-  let sites =
-    List.filteri
-      (fun i _ -> i mod 7 = 0)
-      (List.filter_map
-         (fun (l : Topology.link) ->
-           if l.Topology.link_id < l.Topology.peer then
-             let src = Topology.node ft.Fat_tree.topo l.Topology.src in
-             let dst = Topology.node ft.Fat_tree.topo l.Topology.dst in
-             if is_switch src && is_switch dst then
-               Some (src.Topology.name, dst.Topology.name)
-             else None
-           else None)
-         (Topology.links ft.Fat_tree.topo))
-  in
-  let victim = ft.Fat_tree.aggs.(0).(0).Topology.name in
-  let plan =
-    let storm =
-      Plan.flap_storm ~seed:7 ~sites ~start:(Time.of_sec 5.0)
-        ~stop:(Time.div duration 2) ~rate:0.3 ~down_for:(Time.of_sec 1.5) ()
-    in
-    {
-      storm with
-      Plan.events =
-        [
-          { Plan.at = Time.of_sec 6.0; action = Plan.Node_crash victim };
-          { Plan.at = Time.of_sec 14.0; action = Plan.Node_restart victim };
-        ];
-    }
-  in
-  Format.fprintf fmt
-    "workload: fat-tree k=%d, bgp-ecmp, %a virtual, %d flap sites + a node \
-     crash/restart@.@."
-    pods Time.pp duration (List.length sites);
-  let run ~fast_path =
-    Scenario.run_fat_tree_te ~seed:42
-      ~config:{ Sched.default_config with Sched.fast_path }
-      ~faults:plan ~pods ~te:Scenario.Bgp_ecmp ~duration ()
-  in
-  let eager = run ~fast_path:false in
-  let fast = run ~fast_path:true in
-  Format.fprintf fmt "%-10s %14s %14s %12s %14s %10s@." "scheduler"
-    "poller ticks" "ticks saved" "fti incr" "fast-fwd" "wall(s)";
-  let row name (r : Scenario.result) =
-    let s = r.Scenario.sched_stats in
-    Format.fprintf fmt "%-10s %14d %14d %12d %14d %10.3f@." name
-      s.Sched.poller_ticks s.Sched.poller_ticks_saved s.Sched.fti_increments
-      s.Sched.fti_increments_skipped r.Scenario.run_wall_s
-  in
-  row "eager" eager;
-  row "fast" fast;
-  let timeline (r : Scenario.result) =
-    List.map
-      (fun (tr : Sched.transition) ->
-        ( Time.to_us tr.Sched.at,
-          Sched.mode_to_string tr.Sched.from_mode,
-          Sched.mode_to_string tr.Sched.to_mode,
-          tr.Sched.reason ))
-      r.Scenario.sched_stats.Sched.transitions
-  in
-  let timeline_equal = timeline eager = timeline fast in
-  let fib_equal =
-    eager.Scenario.fib_fingerprint = fast.Scenario.fib_fingerprint
-    && fast.Scenario.fib_fingerprint <> None
-  in
-  let tick_ratio =
-    float_of_int eager.Scenario.sched_stats.Sched.poller_ticks
-    /. float_of_int (max 1 fast.Scenario.sched_stats.Sched.poller_ticks)
-  in
-  Format.fprintf fmt
-    "@.poller-tick reduction: %.1fx; wall %.3fs -> %.3fs; mode timeline %s \
-     (%d transitions), final FIBs %s (%s)@."
-    tick_ratio eager.Scenario.run_wall_s fast.Scenario.run_wall_s
-    (if timeline_equal then "IDENTICAL" else "DIVERGED")
-    (List.length fast.Scenario.sched_stats.Sched.transitions)
-    (if fib_equal then "IDENTICAL" else "DIVERGED")
-    (Option.value fast.Scenario.fib_fingerprint ~default:"-");
-  let module Json = Horse_telemetry.Json in
-  let run_json (r : Scenario.result) =
-    let s = r.Scenario.sched_stats in
-    Json.Obj
-      [
-        ("poller_ticks", Json.Int s.Sched.poller_ticks);
-        ("poller_ticks_saved", Json.Int s.Sched.poller_ticks_saved);
-        ("fti_increments", Json.Int s.Sched.fti_increments);
-        ("fti_increments_skipped", Json.Int s.Sched.fti_increments_skipped);
-        ("events_executed", Json.Int s.Sched.events_executed);
-        ("transitions", Json.Int (List.length s.Sched.transitions));
-        ("run_wall_s", Json.Float r.Scenario.run_wall_s);
-        ( "fib_fingerprint",
-          match r.Scenario.fib_fingerprint with
-          | Some f -> Json.String f
-          | None -> Json.Null );
-      ]
-  in
-  let j =
-    Json.Obj
-      [
-        ("bench", Json.String "sched_fastpath");
-        ("domains", Json.Int 1);
-        ("cores", Json.Int (Domain.recommended_domain_count ()));
-        ("pods", Json.Int pods);
-        ("duration_s", Json.Float (Time.to_sec duration));
-        ("eager", run_json eager);
-        ("fast", run_json fast);
-        ("tick_reduction", Json.Float tick_ratio);
-        ("timeline_equal", Json.Bool timeline_equal);
-        ("fib_equal", Json.Bool fib_equal);
-      ]
-  in
-  (try Unix.mkdir "results" 0o755
-   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = "results/BENCH_sched_fastpath.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf fmt "artifact written to %s@." path;
-  Format.fprintf fmt
-    "@.shape check: >=5x fewer poller ticks, wall no worse, and the fast \
-     path reproduces the eager mode timeline and final FIBs bit-for-bit@."
-
-(* ------------------------------------------------------------------ *)
-(* TRACE-OVERHEAD: causal tracing A/B on the sched-storm workload —    *)
+(* TRACE-OVERHEAD: causal tracing A/B on the fault-storm workload —    *)
 (* the "zero-cost when disabled, cheap when on" claim, measured. Wall  *)
 (* times are min-of-5, sides interleaved: in one process later runs   *)
 (* pay earlier runs' GC debt, so a second block measures slower —      *)
@@ -1597,6 +1287,7 @@ let classifier_storm ~full =
     "CLASSIFIER-STORM — lookup hierarchy vs linear scan, 100k+ rules, \
      TSS and interval backends";
   let module OF = Horse_openflow in
+  let module Oracle = Horse_oracle.Flow_table_oracle in
   let module VTime = Horse_engine.Time in
   let module Reg = Horse_telemetry.Registry in
   let n_rules = if full then 250_000 else 100_000 in
@@ -1716,7 +1407,7 @@ let classifier_storm ~full =
     in
     (* Byte-identical forwarding decisions, hierarchy vs reference. *)
     let fp_fast = fingerprint OF.Flow_table.lookup t in
-    let fp_ref = fingerprint OF.Flow_table.lookup_reference t in
+    let fp_ref = fingerprint Oracle.lookup_reference t in
     if fp_fast <> fp_ref then
       failwith
         (Printf.sprintf "classifier-storm(%s): decision fingerprints diverge"
@@ -1726,7 +1417,7 @@ let classifier_storm ~full =
     let ref_times =
       List.init n_ref_probes (fun k ->
           let f = probes.(k * (n_probes / n_ref_probes)) in
-          let (), dt = Wall.time (fun () -> ignore (OF.Flow_table.lookup_reference t f)) in
+          let (), dt = Wall.time (fun () -> ignore (Oracle.lookup_reference t f)) in
           dt)
     in
     let ref_median = median ref_times in
@@ -1773,7 +1464,7 @@ let classifier_storm ~full =
     done;
     let churn_inv = st.OF.Flow_table.invalidations - inv0 in
     let fp_fast' = fingerprint OF.Flow_table.lookup t in
-    let fp_ref' = fingerprint OF.Flow_table.lookup_reference t in
+    let fp_ref' = fingerprint Oracle.lookup_reference t in
     if fp_fast' <> fp_ref' then
       failwith
         (Printf.sprintf
@@ -2019,8 +1710,8 @@ let () =
   let full = List.mem "--full" args in
   let known =
     [ "fig1"; "fig3"; "te"; "ablation-timeout"; "ablation-increment";
-      "protocols"; "ablation-placer"; "scaling"; "fct"; "failure"; "churn";
-      "bgp-scale"; "failure-storm"; "sched-storm"; "trace-overhead";
+      "protocols"; "ablation-placer"; "scaling"; "fct"; "failure";
+      "bgp-scale"; "failure-storm"; "trace-overhead";
       "multicore"; "classifier-storm"; "megauser"; "micro" ]
   in
   let commands = List.filter (fun a -> List.mem a known) args in
@@ -2038,10 +1729,8 @@ let () =
       | "scaling" -> scaling ()
       | "fct" -> fct ()
       | "failure" -> failure ()
-      | "churn" -> churn ~full
       | "bgp-scale" -> bgp_scale ~full
       | "failure-storm" -> failure_storm ~full
-      | "sched-storm" -> sched_storm ~full
       | "trace-overhead" -> trace_overhead ~full
       | "multicore" -> multicore_scaling ()
       | "classifier-storm" -> classifier_storm ~full

@@ -632,39 +632,15 @@ let megauser_cmd =
     let doc = "Capacity-planning headroom over expected peak link load." in
     Arg.(value & opt float 1.1 & info [ "headroom" ] ~docv:"FACTOR" ~doc)
   in
-  let solver_conv =
-    let parse = function
-      | "delta" -> Ok Horse_dataplane.Fluid.Delta
-      | "component" -> Ok Horse_dataplane.Fluid.Component
-      | s -> Error (`Msg (Printf.sprintf "unknown solver %S" s))
-    in
-    let print fmt = function
-      | Horse_dataplane.Fluid.Delta -> Format.pp_print_string fmt "delta"
-      | Horse_dataplane.Fluid.Component ->
-          Format.pp_print_string fmt "component"
-    in
-    Arg.conv (parse, print)
-  in
-  let solver_arg =
-    let doc = "Fair-share solver: delta (incremental) or component." in
-    Arg.(
-      value
-      & opt solver_conv Horse_dataplane.Fluid.Delta
-      & info [ "solver" ] ~docv:"SOLVER" ~doc)
-  in
-  let eager_arg =
-    let doc = "Solve on every event instead of coalescing per instant." in
-    Arg.(value & flag & info [ "eager" ] ~doc)
-  in
   let run duration seed classes users user_demand cities sites ticks headroom
-      solver eager metrics_out report =
+      metrics_out report =
     let wan =
       Option.map
         (fun n -> Wan.random_gnp ~seed ~n ~p:(4.0 /. float_of_int n) ())
         cities
     in
     let r =
-      Scenario.run_wan_megauser ~seed ~solver ~eager ?wan ~classes ~users
+      Scenario.run_wan_megauser ~seed ?wan ~classes ~users
         ~user_demand ~headroom ~sites ~ticks
         ~duration:(Time.of_sec duration) ()
     in
@@ -676,17 +652,13 @@ let megauser_cmd =
           Horse_stats.Series.map r.Scenario.mu_aggregate ~f:(fun v ->
               v /. 1e9) );
       ];
-    (match r.Scenario.mu_delta with
-    | Some d ->
+    Option.iter
+      (fun (d : Horse_dataplane.Fair_share.Delta.stats) ->
         Format.printf
           "@.delta solver: %d solves, %d flows touched, %d links touched, %d \
            expansions, %d promotions@."
-          d.Horse_dataplane.Fair_share.Delta.solves
-          d.Horse_dataplane.Fair_share.Delta.flows_touched
-          d.Horse_dataplane.Fair_share.Delta.links_touched
-          d.Horse_dataplane.Fair_share.Delta.expansions
-          d.Horse_dataplane.Fair_share.Delta.promotions
-    | None -> ());
+          d.solves d.flows_touched d.links_touched d.expansions d.promotions)
+      r.Scenario.mu_delta;
     emit_telemetry ~stats:r.Scenario.mu_sched_stats ~metrics_out
       ~trace_out:None ~report r.Scenario.mu_registry
   in
@@ -700,7 +672,7 @@ let megauser_cmd =
     Term.(
       const run $ duration_arg $ seed_arg $ classes_arg $ users_arg
       $ user_demand_arg $ cities_arg $ sites_arg $ ticks_arg $ headroom_arg
-      $ solver_arg $ eager_arg $ metrics_out_arg $ report_arg)
+      $ metrics_out_arg $ report_arg)
 
 (* --- topo ------------------------------------------------------------------ *)
 

@@ -322,8 +322,7 @@ type mu_cell = {
   mutable mc_seq : int;
 }
 
-let run_wan_megauser ?(seed = 42) ?config ?(solver = Fluid.Delta)
-    ?(eager = false) ?wan ?(classes = 20_000) ?(users = 1_000_000)
+let run_wan_megauser ?(seed = 42) ?config ?wan ?(classes = 20_000) ?(users = 1_000_000)
     ?(user_demand = 150e3) ?(headroom = 1.1) ?(sites = 3) ?(ticks = 48)
     ?(sample_every = Time.of_ms 500) ?(duration = Time.of_sec 60.0) () =
   let wan = match wan with Some w -> w | None -> Wan.abilene () in
@@ -337,7 +336,7 @@ let run_wan_megauser ?(seed = 42) ?config ?(solver = Fluid.Delta)
         let topo = wan.Wan.topo in
         let hosts = Wan.attach_hosts ~capacity:40e9 wan in
         let sched = Sched.create ?config () in
-        let fluid = Fluid.create ~eager ~solver sched topo in
+        let fluid = Fluid.create sched topo in
         ignore seed;
         (* Anycast replicas: site cities spread across the index range
            (for Abilene that is roughly west-to-east). *)
@@ -585,7 +584,7 @@ let run_wan_megauser ?(seed = 42) ?config ?(solver = Fluid.Delta)
     mu_reroutes = !reroutes;
     mu_solves = Fluid.recompute_count fluid;
     mu_solve_work = Fluid.solve_work fluid;
-    mu_delta = Fluid.delta_stats fluid;
+    mu_delta = Some (Fluid.delta_stats fluid);
     mu_setup_wall_s = setup_wall_s;
     mu_run_wall_s = run_wall_s;
     mu_delivered_bits = Fluid.total_delivered_bits fluid;

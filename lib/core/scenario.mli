@@ -104,7 +104,8 @@ type megauser_result = {
   mu_solves : int;  (** rate solves actually executed *)
   mu_solve_work : int;  (** total flows entering solves *)
   mu_delta : Horse_dataplane.Fair_share.Delta.stats option;
-      (** [None] when the component solver was selected *)
+      (** the delta solver's counters; always [Some] (the option is
+          kept for existing readers of the field) *)
   mu_setup_wall_s : float;
   mu_run_wall_s : float;
   mu_delivered_bits : float;
@@ -116,8 +117,6 @@ type megauser_result = {
 val run_wan_megauser :
   ?seed:int ->
   ?config:Sched.config ->
-  ?solver:Horse_dataplane.Fluid.solver ->
-  ?eager:bool ->
   ?wan:Horse_topo.Wan.t ->
   ?classes:int ->
   ?users:int ->
@@ -131,14 +130,13 @@ val run_wan_megauser :
   megauser_result
 (** Defaults: Abilene WAN, 20 000 peak flow classes standing for
     1 000 000 users at 150 kbps each, 3 anycast sites, 48 diurnal
-    ticks over a 60 s virtual day, the incremental delta solver with
-    coalesced (non-eager) recomputes. Links are capacity-planned for
+    ticks over a 60 s virtual day, solved by the incremental delta
+    solver with coalesced recomputes. Links are capacity-planned for
     [headroom] (default 1.1) times their expected peak load, so the
     diurnal swing stays within plan — the solver's O(1) fast path —
     until the drain event concentrates load and saturates the
     under-planned paths for real. [classes], [users] and
-    [user_demand] scale the workload; [eager] forces a solve per
-    event (used by the A/B benchmarks).
+    [user_demand] scale the workload.
     @raise Invalid_argument on [sites] outside [1, cities],
     [classes < 1] or [ticks < 1]. *)
 

@@ -7,12 +7,11 @@
     smaller rate — the classic max-min fairness criterion that a
     network of fair queues converges to.
 
-    Two implementations share the semantics: {!compute} is the
-    production sorted-demand water-filling solver over dense arena
-    buffers (the fluid hot path), {!compute_reference} is the textbook
-    progressive-filling loop kept for differential testing. {!compute}
-    and the incremental {!Delta} solver run the same water-filling
-    kernel. *)
+    {!compute} is a sorted-demand water-filling solver over dense
+    arena buffers; the incremental {!Delta} solver (the fluid hot
+    path) runs the same water-filling kernel. The differential suites
+    check both against a textbook progressive-filling oracle kept in
+    the test code. *)
 
 type flow_input = {
   demand : float;  (** offered rate, bps; must be >= 0 *)
@@ -43,12 +42,6 @@ val compute :
 
     @raise Invalid_argument on a negative demand or non-positive
     capacity. *)
-
-val compute_reference :
-  capacity:(int -> float) -> flow_input array -> float array
-(** The original O(rounds × (flows + links)) progressive-filling
-    implementation. Semantically identical to {!compute} (asserted by
-    the differential property suite); kept as the testing oracle. *)
 
 val link_loads : flow_input array -> float array -> (int * float) list
 (** Total allocated rate per link id, for checking feasibility. *)

@@ -23,11 +23,11 @@
     path into completed accumulators; an active table plus per-link
     and per-destination membership indexes make {!find_flow},
     {!link_load}, {!host_rx_rate}, {!total_rx_rate} and the sampler
-    proportional to the active (or per-link) flow count. A solve is
-    further restricted to the bottleneck-connected component of links
-    touched by the changed flows — max-min allocation decomposes
-    exactly over connected components of the flow/link sharing graph,
-    so rates outside the component are provably unchanged.
+    proportional to the active (or per-link) flow count. A solve is an
+    incremental {!Fair_share.Delta} flush: persistent per-link
+    bottleneck state, with water filling only over the links whose
+    bottleneck set the pending events changed, so rates outside that
+    scope are provably unchanged.
 
     Rate sampling (for the demonstration's aggregate-throughput graph)
     is a periodic simulation event recorded into {!Horse_stats.Series}
@@ -39,21 +39,10 @@ open Horse_topo
 
 type t
 
-type solver =
-  | Component
-      (** re-solve the dirty connected component from scratch on every
-          flush (the pre-delta behaviour, kept for A/B benchmarks) *)
-  | Delta
-      (** incremental {!Fair_share.Delta} solves: persistent per-link
-          bottleneck state, water filling only over links whose
-          bottleneck set changed (the default) *)
-
-val create : ?eager:bool -> ?solver:solver -> Sched.t -> Topology.t -> t
-(** [~eager:true] restores the pre-coalescing behaviour — one max-min
-    solve per mutation, on the spot. Kept so benchmarks can measure
-    the coalescing win; experiments should use the default.
-    [~solver] picks the rate solver (default {!Delta}); both produce
-    max-min fair rates, differing only in per-event solve work. *)
+val create : Sched.t -> Topology.t -> t
+(** An empty fluid data plane over [topology], solving rates with an
+    incremental {!Fair_share.Delta} solver and registering its metrics
+    in the scheduler's registry. *)
 
 val topology : t -> Topology.t
 val scheduler : t -> Sched.t
@@ -166,11 +155,8 @@ val active_users : t -> int
     [Flow.users]). *)
 
 val solve_work : t -> int
-(** Flows that entered a solve, summed over all solves — the
-    solver-work metric the delta benchmarks gate. A component solve
-    counts its whole component; a delta solve counts only its scoped
-    water fills. *)
+(** Flows that entered a scoped water fill, summed over all solves —
+    the solver-work metric the delta benchmarks gate. *)
 
-val delta_stats : t -> Fair_share.Delta.stats option
-(** The incremental solver's counters ([None] under
-    {!solver.Component}). *)
+val delta_stats : t -> Fair_share.Delta.stats
+(** The incremental solver's counters. *)

@@ -18,8 +18,9 @@
    its level, and the overflow drains entries the wheel horizon now
    covers. Same-timestamp ties across structures resolve by processing
    the coarser structure first, so after cascading, the (time, seq)
-   order inside [due] reproduces the reference heap's pop order
-   exactly (Heap_queue, checked by the differential suite).
+   order inside [due] reproduces the pop order of the binary heap this
+   wheel replaced exactly (the heap is kept as a test oracle and the
+   differential suite checks the two agree).
 
    Costs: schedule and cancel are O(1) (cancellation is lazy — a
    cancelled entry is dropped when its slot cascades or it surfaces in

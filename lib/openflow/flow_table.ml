@@ -308,11 +308,6 @@ let lookup t fields =
           micro_install t fields cell;
           cell.c_entry)
 
-let lookup_reference t fields =
-  List.find_map
-    (fun (_, e) -> if Ofmatch.matches e.match_ fields then Some e else None)
-    (view t)
-
 let account entry ~now ~packets ~bytes =
   entry.packets <- entry.packets + packets;
   entry.bytes <- entry.bytes + bytes;

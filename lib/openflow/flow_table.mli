@@ -12,8 +12,8 @@
 
     Matching returns the highest-priority matching entry; among equal
     priorities the oldest entry wins (stable, deterministic), and the
-    cached paths return the identical entry the slow path would —
-    {!lookup_reference} keeps the original linear scan as the oracle.
+    cached paths return the identical entry the slow path would, which
+    is the first entry of {!entries} that matches.
 
     Invalidation: ADD drops exactly the cells the new rule overlaps
     (cached misses included); DELETE / MODIFY / {!expire} drop the
@@ -39,9 +39,8 @@ type entry = {
 
 (** Lookup-hierarchy counters, monotonic over the table's lifetime.
     [lookups = micro_hits + mega_hits + slow_hits + misses];
-    [view_sorts] counts rebuilds of the lazy sorted view (only the
-    reference scan and entry iteration sort — the hot path never
-    does). *)
+    [view_sorts] counts rebuilds of the lazy sorted view (only entry
+    iteration sorts — the hot path never does). *)
 type stats = {
   mutable micro_hits : int;
   mutable mega_hits : int;
@@ -74,10 +73,6 @@ val lookup : t -> Ofmatch.fields -> entry option
 (** The hierarchy (microflow, then megaflow, then slow path; misses
     are cached too).  Does not touch counters — use {!account} when
     traffic actually hits the entry. *)
-
-val lookup_reference : t -> Ofmatch.fields -> entry option
-(** The original linear scan over the sorted view — the oracle of the
-    differential suite, byte-identical decisions to {!lookup}. *)
 
 val account : entry -> now:Time.t -> packets:int -> bytes:int -> unit
 (** Adds to the counters and refreshes the idle timestamp. *)

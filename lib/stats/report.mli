@@ -2,8 +2,8 @@
 
     Renders, in order: counters as a horizontal bar chart (scaled to
     the busiest counter), gauges as an aligned table, each histogram
-    through {!Histogram.pp}, and the span tree indented by depth with
-    both virtual and wall durations. This is what [horse ... --report]
+    through {!Horse_telemetry.Histogram.pp}, and the span tree
+    indented by depth with both virtual and wall durations. This is what [horse ... --report]
     prints after a run. *)
 
 val pp : Format.formatter -> Horse_telemetry.Registry.t -> unit

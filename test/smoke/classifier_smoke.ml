@@ -15,6 +15,7 @@
    Writes both backends' stats to the path given as argv(1). *)
 
 module OF = Horse_openflow
+module Oracle = Horse_oracle.Flow_table_oracle
 module Time = Horse_engine.Time
 module Rng = Horse_engine.Rng
 module Wall = Horse_engine.Wall
@@ -145,7 +146,7 @@ let run_backend backend =
     OF.Flow_table.apply_flow_mod t ~now:Time.zero (rule_fm i)
   done;
   let fp_fast = fingerprint OF.Flow_table.lookup t in
-  let fp_ref = fingerprint OF.Flow_table.lookup_reference t in
+  let fp_ref = fingerprint Oracle.lookup_reference t in
   if fp_fast <> fp_ref then begin
     Printf.eprintf "classifier-smoke(%s): hierarchy diverges from reference\n"
       bname;
@@ -155,7 +156,7 @@ let run_backend backend =
     List.init 100 (fun k ->
         let f = probes.(k * (n_probes / 100)) in
         let (), dt =
-          Wall.time (fun () -> ignore (OF.Flow_table.lookup_reference t f))
+          Wall.time (fun () -> ignore (Oracle.lookup_reference t f))
         in
         dt)
   in
@@ -195,7 +196,7 @@ let run_backend backend =
     if k mod 7 = 0 then ignore (OF.Flow_table.lookup t hot.(Rng.int crng 128))
   done;
   let fp_fast' = fingerprint OF.Flow_table.lookup t in
-  let fp_ref' = fingerprint OF.Flow_table.lookup_reference t in
+  let fp_ref' = fingerprint Oracle.lookup_reference t in
   if fp_fast' <> fp_ref' then begin
     Printf.eprintf
       "classifier-smoke(%s): post-churn hierarchy diverges from reference\n"

@@ -12,8 +12,8 @@
      eager solver doing a full recompute of the event's connected
      component per event would touch;
    - after the churn, every class's rate agrees with the from-scratch
-     progressive-filling oracle Fair_share.compute_reference within
-     1e-9 relative;
+     progressive-filling oracle Fair_share_oracle.compute_reference
+     within 1e-9 relative;
    - the solver's calls during the churn allocate at most
      [words_budget] minor words per flow touched (1.75 measured, so 2x
      headroom): a solve that allocates per flow fails here.
@@ -227,7 +227,9 @@ let () =
            { Fair_share.demand = c.demand; links = c.links })
          final_ids)
   in
-  let reference = Fair_share.compute_reference ~capacity inputs in
+  let reference =
+    Horse_oracle.Fair_share_oracle.compute_reference ~capacity inputs
+  in
   let max_rel_err = ref 0.0 in
   List.iteri
     (fun i id ->

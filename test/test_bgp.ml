@@ -912,7 +912,7 @@ let test_attr_intern_dedup () =
     (Attr_intern.equal i1 i3);
   check Alcotest.int "two records" 2 (Attr_intern.size tbl)
 
-(* --- update groups + packed vs unpacked differential ----------------------- *)
+(* --- update groups + packed Loc-RIB digest --------------------------------- *)
 
 let test_update_groups_and_established_count () =
   let sched = Sched.create () in
@@ -973,9 +973,8 @@ let test_update_groups_and_established_count () =
 
 (* A 6-router ring where every router originates distinct prefixes:
    multipath ties (two ways around for the antipode), split horizon
-   and policy rewrites are all exercised. Run once with packing and
-   once with the legacy per-peer flushes: the Loc-RIBs must agree. *)
-let run_ring ~packing =
+   and policy rewrites are all exercised. *)
+let run_ring () =
   let n = 6 and per = 8 in
   let sched = Sched.create () in
   let networks i =
@@ -990,7 +989,6 @@ let run_ring ~packing =
                ~router_id:(Ipv4.of_octets 1 0 0 (i + 1)))
             with
             Speaker.networks = networks i;
-            packing;
           })
   in
   for i = 0 to n - 1 do
@@ -1022,22 +1020,35 @@ let run_ring ~packing =
           |> List.sort compare ))
       (Speaker.routes speakers.(i))
   in
-  let total = Speaker.counters speakers.(0) in
-  (List.init n signature, total.Speaker.updates_sent)
+  List.init n signature
 
-let test_packed_vs_unpacked_differential () =
-  let packed_sigs, _ = run_ring ~packing:true in
-  let unpacked_sigs, _ = run_ring ~packing:false in
-  List.iteri
-    (fun i (a, b) ->
-      if a <> b then
-        Alcotest.failf "router %d: packed and unpacked Loc-RIBs differ" i)
-    (List.combine packed_sigs unpacked_sigs);
+(* The ring's six Loc-RIBs, one line per router. *)
+let ring_digest sigs =
+  let route (path, nh, lp) =
+    Printf.sprintf "%s/%s/%s"
+      (String.concat " " (List.map string_of_int path))
+      nh
+      (match lp with None -> "-" | Some l -> string_of_int l)
+  in
+  let entry (pfx, routes) = pfx ^ "=" ^ String.concat "," (List.map route routes) in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          (List.map (fun s -> String.concat ";" (List.map entry s)) sigs)))
+
+(* Pinned to the Loc-RIBs that update-group packing and the per-peer,
+   per-attribute-group flushes it replaced both converged to. *)
+let ring_loc_rib_digest = "fdab9e78752ca8ae5ce62e90a3185062"
+
+let test_ring_loc_rib_digest () =
+  let sigs = run_ring () in
+  check Alcotest.string "ring Loc-RIB digest" ring_loc_rib_digest
+    (ring_digest sigs);
   (* Everyone holds every prefix: 6*8 - 1 withdrawn + 1 late announce. *)
   List.iter
     (fun s ->
       check Alcotest.int "full table" 48 (List.length s))
-    packed_sigs
+    sigs
 
 let () =
   Alcotest.run "horse_bgp"
@@ -1103,7 +1114,7 @@ let () =
           Alcotest.test_case "mrai batching" `Quick test_mrai_batches_updates;
           Alcotest.test_case "update groups + established count" `Quick
             test_update_groups_and_established_count;
-          Alcotest.test_case "packed vs unpacked loc-rib differential" `Quick
-            test_packed_vs_unpacked_differential;
+          Alcotest.test_case "ring loc-rib digest" `Quick
+            test_ring_loc_rib_digest;
         ] );
     ]

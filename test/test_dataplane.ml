@@ -5,6 +5,7 @@ open Horse_net
 open Horse_engine
 open Horse_topo
 open Horse_dataplane
+module Fair_share_oracle = Horse_oracle.Fair_share_oracle
 
 let check = Alcotest.check
 let qtest ?(count = 100) ?print name gen prop =
@@ -255,7 +256,7 @@ let prop_fair_share_differential =
     gen_differential_case (fun (caps, flows) ->
       let capacity l = caps.(l) in
       let fast = Fair_share.compute ~capacity flows in
-      let slow = Fair_share.compute_reference ~capacity flows in
+      let slow = Fair_share_oracle.compute_reference ~capacity flows in
       Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-9) fast slow)
 
 let prop_fair_share_differential_invariants =
@@ -394,7 +395,7 @@ let run_delta_schedule (caps, events) =
       List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) alive [])
     in
     let flows = Array.of_list (List.map (Hashtbl.find alive) ids) in
-    let want = Fair_share.compute_reference ~capacity flows in
+    let want = Fair_share_oracle.compute_reference ~capacity flows in
     List.iteri
       (fun i id ->
         if Float.abs (Fair_share.Delta.rate delta ~id -. want.(i)) > 1e-9 then
@@ -489,7 +490,7 @@ let test_delta_pending_reroute_removed () =
   Fair_share.Delta.add_flow d ~id:5 ~demand ~links:[ 0; 6 ];
   Fair_share.Delta.flush d;
   let want =
-    Fair_share.compute_reference ~capacity
+    Fair_share_oracle.compute_reference ~capacity
       (Array.map
          (fun (demand, links) -> { Fair_share.demand; links })
          [| (0.0, []); (0.0, [ 0; 6 ]); (0.0, []); (0.0, []); (demand, [ 0; 6 ]) |])
@@ -750,36 +751,34 @@ let test_fluid_validation () =
 
 let test_fluid_coalescing () =
   (* A burst of k flow events inside one scheduler instant must cost
-     one max-min solve; the eager engine pays k. *)
+     one max-min solve, and end at the max-min allocation. *)
   let k = 10 in
-  let run ~eager =
-    let topo, _, _, path = dumbbell () in
-    let sched = Sched.create () in
-    let fluid = Fluid.create ~eager sched topo in
-    ignore
-      (Sched.schedule_at sched Time.zero (fun () ->
-           for i = 0 to k - 1 do
-             ignore (Fluid.start_flow ~demand:1e9 fluid ~key:(key_i i) ~path)
-           done));
-    ignore (Sched.run ~until:(Time.of_sec 1.0) sched);
-    fluid
+  let topo, _, _, path = dumbbell () in
+  let sched = Sched.create () in
+  let fluid = Fluid.create sched topo in
+  ignore
+    (Sched.schedule_at sched Time.zero (fun () ->
+         for i = 0 to k - 1 do
+           ignore (Fluid.start_flow ~demand:1e9 fluid ~key:(key_i i) ~path)
+         done));
+  ignore (Sched.run ~until:(Time.of_sec 1.0) sched);
+  check Alcotest.int "k requests recorded" k (Fluid.recompute_requests fluid);
+  check Alcotest.int "one solve for the burst" 1 (Fluid.recompute_count fluid);
+  let flows = Fluid.active_flows fluid in
+  let want =
+    Fair_share_oracle.compute_reference
+      ~capacity:(fun l -> (Topology.link topo l).Topology.capacity)
+      (Array.of_list
+         (List.map
+            (fun (f : Flow.t) ->
+              { Fair_share.demand = f.Flow.demand; links = Flow.link_ids f })
+            flows))
   in
-  let coalesced = run ~eager:false in
-  check Alcotest.int "k requests recorded" k
-    (Fluid.recompute_requests coalesced);
-  check Alcotest.int "one solve for the burst" 1
-    (Fluid.recompute_count coalesced);
-  let eager = run ~eager:true in
-  check Alcotest.int "eager solves once per mutation" k
-    (Fluid.recompute_count eager);
-  (* Both engines end at identical allocations. *)
-  List.iter2
-    (fun a b ->
-      check (Alcotest.float 1.0) "same rate either way"
-        (Fluid.current_rate eager a)
-        (Fluid.current_rate coalesced b))
-    (Fluid.active_flows eager)
-    (Fluid.active_flows coalesced)
+  List.iteri
+    (fun i f ->
+      check (Alcotest.float 1.0) "rate matches the oracle" want.(i)
+        (Fluid.current_rate fluid f))
+    flows
 
 let test_fluid_coalesced_reads_are_fresh () =
   (* Reading a rate inside the mutating instant must observe the

@@ -5,6 +5,7 @@ open Horse_net
 open Horse_engine
 open Horse_emulation
 open Horse_openflow
+module Flow_table_oracle = Horse_oracle.Flow_table_oracle
 
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop =
@@ -666,7 +667,7 @@ let test_o1_size_no_resort () =
   check Alcotest.int "entries sees all rules" 1000 (List.length (Flow_table.entries t));
   check Alcotest.bool "one lazy sort for the view" true (st.Flow_table.view_sorts >= 1);
   let sorts_before = st.Flow_table.view_sorts in
-  ignore (Flow_table.lookup_reference t probe);
+  ignore (Flow_table_oracle.lookup_reference t probe);
   check Alcotest.int "view cached across reads" sorts_before
     (Flow_table.stats t).Flow_table.view_sorts
 
@@ -717,7 +718,7 @@ let run_differential backend ops =
           ignore (Flow_table.expire t ~now:!now);
           true
       | `Probe f -> (
-          match (Flow_table.lookup t f, Flow_table.lookup_reference t f) with
+          match (Flow_table.lookup t f, Flow_table_oracle.lookup_reference t f) with
           | Some a, Some b -> a == b
           | None, None -> true
           | _ -> false))

@@ -2,6 +2,7 @@
 
 open Horse_engine
 open Horse_stats
+module Histogram = Horse_telemetry.Histogram
 
 let check = Alcotest.check
 let qtest ?(count = 100) name gen prop =
